@@ -18,6 +18,12 @@ cargo build -q -p thermorl-serve --no-default-features
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
+echo "== perfbench self-tests (ledger build + bit-identical replay of run_scenario) =="
+# The ledger calls each layer's public functions directly, so a change to
+# a layer's signature breaks it here rather than only in a traced run.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q --features ledger \
+    --manifest-path perfbench/Cargo.toml
+
 echo "== telemetry smoke test =="
 cargo test -q -p thermorl-bench --test telemetry_smoke
 

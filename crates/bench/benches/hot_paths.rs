@@ -141,7 +141,9 @@ fn bench_platform(c: &mut Criterion) {
         }
         let demands = vec![ThreadDemand::running(0.8); 6];
         let temps = [45.0; 4];
-        b.iter(|| black_box(m.tick(0.01, &demands, &temps)));
+        b.iter(|| {
+            black_box(m.tick(0.01, &demands, &temps));
+        });
     });
     group.finish();
 }

@@ -26,7 +26,7 @@
 //! let t = m.add_thread(AffinityMask::all(4));
 //! let demands = vec![ThreadDemand { runnable: true, activity: 0.9 }];
 //! let tick = m.tick(0.01, &demands, &[40.0, 40.0, 40.0, 40.0]);
-//! assert!(tick.exec_seconds[t.index()] > 0.0);
+//! assert!(tick.exec_giga_cycles[t.index()] > 0.0);
 //! ```
 
 #![deny(missing_docs)]

@@ -8,7 +8,7 @@ use crate::governor::{GovernorKind, GovernorState, GovernorTunables};
 use crate::hetero::CoreClass;
 use crate::opp::OppTable;
 use crate::power::{EnergyMeter, PowerModel};
-use crate::scheduler::{Scheduler, SchedulerConfig, ThreadDemand, ThreadId, TickResult};
+use crate::scheduler::{reset, Scheduler, SchedulerConfig, ThreadDemand, ThreadId};
 
 /// Configuration of a [`Machine`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,6 +31,22 @@ pub struct MachineConfig {
     pub core_classes: Option<Vec<CoreClass>>,
 }
 
+impl MachineConfig {
+    fn freq_scale(&self, core: usize) -> f64 {
+        self.core_classes
+            .as_ref()
+            .map(|c| c[core].freq_scale)
+            .unwrap_or(1.0)
+    }
+
+    fn power_scale(&self, core: usize) -> f64 {
+        self.core_classes
+            .as_ref()
+            .map(|c| c[core].power_scale)
+            .unwrap_or(1.0)
+    }
+}
+
 impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
@@ -47,22 +63,19 @@ impl Default for MachineConfig {
 
 /// Per-tick outputs of the machine, consumed by the thermal model and the
 /// workload bookkeeping.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The machine owns one of these and refills it in place on every
+/// [`Machine::tick`]. Per-thread CPU time, core utilisation and
+/// migrations are in the [`Scheduler`]'s [`crate::TickResult`]; tick
+/// frequencies come from [`Machine::frequency`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MachineTick {
     /// Giga-cycles of useful work executed by each thread this tick.
     pub exec_giga_cycles: Vec<f64>,
-    /// Effective CPU seconds granted to each thread this tick.
-    pub exec_seconds: Vec<f64>,
     /// Dynamic power of each core during the tick (W).
     pub core_dynamic_w: Vec<f64>,
     /// Leakage power of each core during the tick (W).
     pub core_static_w: Vec<f64>,
-    /// Busy fraction of each core.
-    pub core_busy: Vec<f64>,
-    /// Frequency (GHz) each core ran at during the tick.
-    pub core_freq_ghz: Vec<f64>,
-    /// Migrations that occurred this tick.
-    pub migrations: u64,
 }
 
 /// A simulated multicore machine.
@@ -76,7 +89,7 @@ pub struct MachineTick {
 /// let _t = m.add_thread(AffinityMask::all(4));
 /// m.set_governor_all(GovernorKind::Performance);
 /// let tick = m.tick(0.01, &[ThreadDemand::running(1.0)], &[40.0; 4]);
-/// assert_eq!(tick.core_freq_ghz.len(), 4);
+/// assert_eq!(tick.core_dynamic_w.len(), 4);
 /// assert!(tick.core_dynamic_w.iter().sum::<f64>() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -90,6 +103,8 @@ pub struct Machine {
     threads: Vec<ThreadId>,
     mem_intensity: Vec<f64>,
     time: f64,
+    /// The last tick's outputs, refilled in place by [`Machine::tick`].
+    tick_out: MachineTick,
 }
 
 impl Machine {
@@ -126,6 +141,7 @@ impl Machine {
             threads: Vec::new(),
             mem_intensity: Vec::new(),
             time: 0.0,
+            tick_out: MachineTick::default(),
             config,
         }
     }
@@ -225,23 +241,7 @@ impl Machine {
     /// A core's current *effective* frequency (GHz), including its class's
     /// frequency scaling on heterogeneous machines.
     pub fn frequency(&self, core: usize) -> f64 {
-        self.config.opp_table.get(self.opp_index[core]).freq_ghz * self.freq_scale(core)
-    }
-
-    fn freq_scale(&self, core: usize) -> f64 {
-        self.config
-            .core_classes
-            .as_ref()
-            .map(|c| c[core].freq_scale)
-            .unwrap_or(1.0)
-    }
-
-    fn power_scale(&self, core: usize) -> f64 {
-        self.config
-            .core_classes
-            .as_ref()
-            .map(|c| c[core].power_scale)
-            .unwrap_or(1.0)
+        self.config.opp_table.get(self.opp_index[core]).freq_ghz * self.config.freq_scale(core)
     }
 
     /// The scheduler (read access, e.g. thread placement queries).
@@ -272,36 +272,53 @@ impl Machine {
     /// Advances the machine by `dt` seconds.
     ///
     /// `demands` must contain one entry per registered thread;
-    /// `core_temps` one temperature per core (drives leakage).
+    /// `core_temps` one temperature per core (drives leakage). The result
+    /// borrows the machine's own buffers and is valid until the next
+    /// call; steady-state ticking does not allocate.
     ///
     /// # Panics
     ///
     /// Panics if slice lengths do not match.
-    pub fn tick(&mut self, dt: f64, demands: &[ThreadDemand], core_temps: &[f64]) -> MachineTick {
+    pub fn tick(&mut self, dt: f64, demands: &[ThreadDemand], core_temps: &[f64]) -> &MachineTick {
         assert_eq!(core_temps.len(), self.num_cores(), "temperature per core");
         let n_cores = self.num_cores();
-        // Frequencies in force during this tick (pre-decision).
-        let opps: Vec<_> = (0..n_cores)
-            .map(|c| self.config.opp_table.get(self.opp_index[c]))
-            .collect();
-
-        let sched: TickResult = self.scheduler.tick(dt, demands);
+        let sched = self.scheduler.tick(dt, demands);
         if sched.migrations > 0 {
             self.counters.record_migrations(sched.migrations);
         }
+        // The OPP in force during this tick: governors react only after
+        // work and power are accounted.
+        let opp = |core: usize| self.config.opp_table.get(self.opp_index[core]);
 
         // Work executed, in giga-cycles, at the core's tick frequency.
-        let mut exec_giga_cycles = vec![0.0; demands.len()];
+        let out = &mut self.tick_out;
+        reset(&mut out.exec_giga_cycles, demands.len(), 0.0);
         for (i, &secs) in sched.exec_seconds.iter().enumerate() {
             if secs > 0.0 {
                 let core = sched.thread_core[i];
-                let gc = secs * opps[core].freq_ghz * self.freq_scale(core);
-                exec_giga_cycles[i] = gc;
+                let gc = secs * opp(core).freq_ghz * self.config.freq_scale(core);
+                out.exec_giga_cycles[i] = gc;
                 let co = sched.core_nthreads[core].saturating_sub(1);
                 self.counters
                     .record_execution(gc, self.mem_intensity[i], co);
             }
         }
+
+        // Power draw during the tick.
+        reset(&mut out.core_dynamic_w, n_cores, 0.0);
+        reset(&mut out.core_static_w, n_cores, 0.0);
+        for (core, &temp) in core_temps.iter().enumerate() {
+            let opp = opp(core);
+            let scale = self.config.power_scale(core);
+            out.core_dynamic_w[core] = scale
+                * self
+                    .config
+                    .power
+                    .dynamic(opp, sched.core_activity[core], sched.core_busy[core]);
+            out.core_static_w[core] = scale * self.config.power.leakage(opp.voltage, temp);
+        }
+        self.energy
+            .record(dt, &out.core_dynamic_w, &out.core_static_w);
 
         // Governors react to this tick's utilisation.
         for core in 0..n_cores {
@@ -311,38 +328,8 @@ impl Machine {
                 self.opp_index[core] = new_idx;
             }
         }
-
-        // Power draw during the tick (pre-decision OPPs).
-        let mut core_dynamic_w = vec![0.0; n_cores];
-        let mut core_static_w = vec![0.0; n_cores];
-        for core in 0..n_cores {
-            let scale = self.power_scale(core);
-            core_dynamic_w[core] = scale
-                * self.config.power.dynamic(
-                    opps[core],
-                    sched.core_activity[core],
-                    sched.core_busy[core],
-                );
-            core_static_w[core] = scale
-                * self
-                    .config
-                    .power
-                    .leakage(opps[core].voltage, core_temps[core]);
-        }
-        self.energy.record(dt, &core_dynamic_w, &core_static_w);
         self.time += dt;
-
-        MachineTick {
-            exec_giga_cycles,
-            exec_seconds: sched.exec_seconds,
-            core_dynamic_w,
-            core_static_w,
-            core_busy: sched.core_busy,
-            core_freq_ghz: (0..n_cores)
-                .map(|c| opps[c].freq_ghz * self.freq_scale(c))
-                .collect(),
-            migrations: sched.migrations,
-        }
+        &self.tick_out
     }
 }
 
@@ -404,9 +391,13 @@ mod tests {
     fn hotter_die_leaks_more() {
         let mut m = machine();
         m.add_thread(AffinityMask::single(0));
-        let cold = m.tick(0.01, &[ThreadDemand::blocked()], &[30.0; 4]);
-        let hot = m.tick(0.01, &[ThreadDemand::blocked()], &[80.0; 4]);
-        assert!(hot.core_static_w[0] > cold.core_static_w[0] * 2.0);
+        let cold = m
+            .tick(0.01, &[ThreadDemand::blocked()], &[30.0; 4])
+            .core_static_w[0];
+        let hot = m
+            .tick(0.01, &[ThreadDemand::blocked()], &[80.0; 4])
+            .core_static_w[0];
+        assert!(hot > cold * 2.0);
     }
 
     #[test]

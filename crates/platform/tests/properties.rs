@@ -123,12 +123,12 @@ proptest! {
         }
         m.set_governor_all(GovernorKind::Performance);
         let temps = [temp; 4];
-        let tick = m.tick(0.01, &demands, &temps);
         let p_max = m.config().power.dynamic(
             m.config().opp_table.get(m.config().opp_table.max_index()),
             1.0,
             1.0,
         );
+        let tick = m.tick(0.01, &demands, &temps);
         for c in 0..4 {
             prop_assert!(tick.core_dynamic_w[c] <= p_max + 1e-9);
             prop_assert!(tick.core_dynamic_w[c] >= 0.0);
@@ -148,7 +148,7 @@ proptest! {
             let demands = vec![ThreadDemand::running(0.9); n];
             let mut trace = Vec::new();
             for _ in 0..30 {
-                trace.push(s.tick(0.05, &demands).thread_core);
+                trace.push(s.tick(0.05, &demands).thread_core.clone());
             }
             (trace, s.total_migrations())
         };

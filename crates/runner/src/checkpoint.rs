@@ -18,7 +18,7 @@
 //! warning rather than aborting the resume.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use thermorl_sim::json::{JsonError, Value};
@@ -160,20 +160,28 @@ impl<T> CheckpointWriter<T> {
     /// Opens `path` for appending (creating it and parent directories as
     /// needed). If an interrupted campaign left a torn final line with no
     /// trailing newline, one is added first so the next record starts on
-    /// its own line instead of corrupting the torn one's neighbours.
+    /// its own line instead of corrupting the torn one's neighbours. Only
+    /// the file's last byte is read, however long the checkpoint is.
     pub fn append(path: &Path, codec: Codec<T>) -> std::io::Result<Self> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let needs_newline = match std::fs::read(path) {
-            Ok(bytes) => !bytes.is_empty() && bytes.last() != Some(&b'\n'),
-            Err(_) => false,
-        };
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        if needs_newline {
-            file.write_all(b"\n")?;
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(path)?;
+        let len = file.metadata()?.len();
+        if len > 0 {
+            let mut last = [0u8];
+            file.seek(SeekFrom::Start(len - 1))?;
+            file.read_exact(&mut last)?;
+            // Appends go to the end whatever the read position.
+            if last[0] != b'\n' {
+                file.write_all(b"\n")?;
+            }
         }
         Ok(CheckpointWriter {
             path: path.to_path_buf(),
@@ -443,6 +451,43 @@ mod tests {
         let loaded = load(&path, &codec).expect("load");
         assert_eq!(loaded.len(), 1, "record after torn tail must survive");
         assert_eq!(loaded[0].key, "a");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn append_to_an_empty_file_adds_no_newline() {
+        let dir = temp_dir("empty");
+        let path = dir.join("campaign.jsonl");
+        std::fs::write(&path, "").expect("create empty file");
+        let codec = u64_codec();
+        let rec = record("a", 1, JobOutcome::Completed(10));
+        let mut writer = CheckpointWriter::append(&path, codec).expect("open");
+        writer.write(&rec).expect("write");
+        drop(writer);
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert_eq!(text, format!("{}\n", record_line(&rec, &codec)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn append_after_a_complete_line_adds_no_blank_line() {
+        let dir = temp_dir("complete");
+        let path = dir.join("campaign.jsonl");
+        let codec = u64_codec();
+        let first = record_line(&record("a", 1, JobOutcome::Completed(10)), &codec);
+        std::fs::write(&path, format!("{first}\n")).expect("seed one record");
+        let second = record("b", 2, JobOutcome::Completed(20));
+        let mut writer = CheckpointWriter::append(&path, codec).expect("open");
+        writer.write(&second).expect("write");
+        drop(writer);
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert_eq!(text, format!("{first}\n{}\n", record_line(&second, &codec)));
+        let keys: Vec<String> = load(&path, &codec)
+            .expect("load")
+            .into_iter()
+            .map(|r| r.key)
+            .collect();
+        assert_eq!(keys, ["a", "b"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -203,6 +203,11 @@ impl Simulation {
         // here on (by the controller, the thermal stepper, …) are
         // mirrored into the trace as labelled events.
         let mut event_cursor = tel::next_event_seq();
+        // Per-tick buffers, refilled in place so the tick loop does not
+        // allocate (the machine's result is a borrow of its own buffers).
+        let mut needs = Vec::with_capacity(num_threads);
+        let mut demands: Vec<ThreadDemand> = Vec::with_capacity(num_threads);
+        let mut temps = vec![0.0; num_cores];
 
         let apps: Vec<AppModel> = self.scenario.apps.clone();
         'apps: for (app_idx, app) in apps.iter().enumerate() {
@@ -230,15 +235,15 @@ impl Simulation {
                     });
                     break 'apps;
                 }
-                let needs = exec.thread_needs();
-                let demands: Vec<ThreadDemand> = needs
-                    .iter()
-                    .map(|n| ThreadDemand {
-                        runnable: n.runnable,
-                        activity: n.activity,
-                    })
-                    .collect();
-                let temps = self.die.core_temperatures();
+                exec.thread_needs_into(&mut needs);
+                demands.clear();
+                demands.extend(needs.iter().map(|n| ThreadDemand {
+                    runnable: n.runnable,
+                    activity: n.activity,
+                }));
+                for (c, t) in temps.iter_mut().enumerate() {
+                    *t = self.die.core_temperature(c);
+                }
                 let mt = self.machine.tick(self.config.tick, &demands, &temps);
                 for c in 0..num_cores {
                     self.die

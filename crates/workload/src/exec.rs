@@ -180,66 +180,69 @@ impl AppExecution {
 
     /// Per-thread demands for the current phase.
     pub fn thread_needs(&self) -> Vec<ThreadNeed> {
+        let mut needs = Vec::with_capacity(self.model.num_threads);
+        self.thread_needs_into(&mut needs);
+        needs
+    }
+
+    /// Writes the per-thread demands for the current phase into `needs`
+    /// (cleared first), reusing its allocation: the simulation engine's
+    /// per-tick form of [`AppExecution::thread_needs`].
+    pub fn thread_needs_into(&self, needs: &mut Vec<ThreadNeed>) {
+        needs.clear();
         let m = &self.model;
         if self.is_complete() {
-            return vec![
+            needs.resize(
+                m.num_threads,
                 ThreadNeed {
                     runnable: false,
                     activity: 0.0,
-                };
-                m.num_threads
-            ];
+                },
+            );
+            return;
         }
         match &self.state {
             ExecState::Barrier {
                 phase,
                 activity_mult,
             } => match phase {
-                Phase::Parallel { remaining } => remaining
-                    .iter()
-                    .map(|&r| {
-                        let runnable = r > 0.0;
-                        ThreadNeed {
-                            runnable,
-                            activity: if runnable {
-                                self.scaled_activity(m.activity_parallel, *activity_mult)
-                            } else {
-                                0.0
-                            },
-                        }
-                    })
-                    .collect(),
-                Phase::Serial { .. } => (0..m.num_threads)
-                    .map(|i| ThreadNeed {
-                        runnable: i == 0,
-                        activity: if i == 0 {
-                            self.scaled_activity(m.activity_serial, *activity_mult)
+                Phase::Parallel { remaining } => needs.extend(remaining.iter().map(|&r| {
+                    let runnable = r > 0.0;
+                    ThreadNeed {
+                        runnable,
+                        activity: if runnable {
+                            self.scaled_activity(m.activity_parallel, *activity_mult)
                         } else {
                             0.0
                         },
-                    })
-                    .collect(),
-            },
-            ExecState::Queue { items, .. } => items
-                .iter()
-                .map(|slot| match slot {
-                    Some(item) => {
-                        let (base, mult) = if item.hi_remaining > 0.0 {
-                            (m.activity_parallel, item.activity_mult)
-                        } else {
-                            (m.activity_serial, item.activity_mult)
-                        };
-                        ThreadNeed {
-                            runnable: true,
-                            activity: self.scaled_activity(base, mult),
-                        }
                     }
-                    None => ThreadNeed {
-                        runnable: false,
-                        activity: 0.0,
+                })),
+                Phase::Serial { .. } => needs.extend((0..m.num_threads).map(|i| ThreadNeed {
+                    runnable: i == 0,
+                    activity: if i == 0 {
+                        self.scaled_activity(m.activity_serial, *activity_mult)
+                    } else {
+                        0.0
                     },
-                })
-                .collect(),
+                })),
+            },
+            ExecState::Queue { items, .. } => needs.extend(items.iter().map(|slot| match slot {
+                Some(item) => {
+                    let (base, mult) = if item.hi_remaining > 0.0 {
+                        (m.activity_parallel, item.activity_mult)
+                    } else {
+                        (m.activity_serial, item.activity_mult)
+                    };
+                    ThreadNeed {
+                        runnable: true,
+                        activity: self.scaled_activity(base, mult),
+                    }
+                }
+                None => ThreadNeed {
+                    runnable: false,
+                    activity: 0.0,
+                },
+            })),
         }
     }
 
