@@ -41,6 +41,24 @@ grep -q '"large"' BENCH_thermal.json \
 grep -q '"32x32"' BENCH_thermal.json \
     || { echo "BENCH_thermal.json large sweep missing the 32x32 cell"; exit 1; }
 
+echo "== validate (DESIGN §6 calibration invariants) =="
+cargo run --release -q -p thermorl-bench --bin validate
+
+echo "== golden results (run_all tables and CSV traces byte-identical to results/) =="
+# run_all writes results/ relative to its cwd, so it runs in a temp dir.
+# campaign_telemetry.json holds wall-clock timings and campaign.jsonl is
+# not committed; every other file run_all writes must match byte for byte.
+GOLDEN_DIR=$(mktemp -d)
+(cd "$GOLDEN_DIR" && timeout 300 cargo run --release -q \
+    --manifest-path "$OLDPWD/Cargo.toml" -p thermorl-bench --bin run_all -- --quiet > /dev/null)
+for f in ablations.md fig1.md fig3.md fig4_5.md fig6.md fig7.md fig8.md fig9.md \
+    table2.md table3.md fig1_Linux.csv fig1_user-assign.csv \
+    fig4_5_Linux.csv fig4_5_Proposed.csv; do
+    cmp "results/$f" "$GOLDEN_DIR/results/$f" \
+        || { echo "results/$f differs from run_all output in $GOLDEN_DIR"; exit 1; }
+done
+rm -rf "$GOLDEN_DIR"
+
 echo "== policy tournament --quick (2 policies x 3 scenarios incl. grid_4x4, leaderboard schema gate) =="
 rm -f BENCH_tournament.json
 timeout 300 cargo run --release -q -p thermorl-bench --bin tournament -- \
