@@ -6,9 +6,10 @@
 //! * `--quick` — fewer iterations (CI mode; same JSON shape).
 //! * `--out PATH` — output path (default `BENCH_thermal.json`).
 //! * `--gate` — regression gate: before overwriting the output file,
-//!   parse its committed `die_advance_1s_ns` and exit non-zero if the
-//!   freshly measured number is more than 3x slower. A missing or
-//!   unparsable committed file is a warning, not a failure (first run).
+//!   parse its committed `die_advance_1s_ns` and `die_tick_churn_ns` and
+//!   exit non-zero if either fresh number is more than 3x slower. A
+//!   missing or unparsable committed file is a warning, not a failure
+//!   (first run).
 //! * `--telemetry [PATH]` — record registry metrics during the scenario
 //!   measurement and write the snapshot to PATH (default
 //!   `telemetry.json`). Stepper timings and the disabled-overhead
@@ -120,6 +121,40 @@ fn measure_stepper(stepper: Stepper, iters: u32, reps: u32) -> (f64, u64) {
     (ns, allocs / 100)
 }
 
+/// The tick the simulation engine actually runs: every core's power
+/// changes, then the die advances one 10 ms tick. `die_advance_1s` holds
+/// power constant; this entry prices the per-tick power churn the
+/// campaigns pay. Returns (ns per tick, allocs per tick, node count).
+fn measure_tick_churn(floorplan: Floorplan, iters: u32, reps: u32) -> (f64, u64, usize) {
+    let mut die = DieModel::new(floorplan, DieParams::default());
+    let cores = die.num_cores();
+    let mut round = 0u64;
+    let mut tick = |die: &mut DieModel| {
+        for c in 0..cores {
+            die.set_core_power(c, 8.0 + ((round * 7 + c as u64 * 3) % 11) as f64);
+        }
+        round += 1;
+        die.advance(0.01);
+    };
+    tick(&mut die); // warm caches; Exact builds its propagator here
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..100 {
+        tick(&mut die);
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+
+    let ns = median_ns_per_iter(
+        || {
+            tick(&mut die);
+            std::hint::black_box(die.core_temperature(0));
+        },
+        iters,
+        reps,
+    );
+    (ns, allocs / 100, die.network().len())
+}
+
 /// A warmed-up [`DieBatch`] of `width` quad-core dies with per-die power
 /// profiles, ready for steady-state advance timing.
 fn quad_fleet(width: usize) -> DieBatch {
@@ -130,7 +165,7 @@ fn quad_fleet(width: usize) -> DieBatch {
             batch.set_core_power(die, core, 8.0 + ((die * 4 + core) % 9) as f64);
         }
     }
-    batch.advance(1.0); // builds the propagator, refreshes every t_ss column
+    batch.advance(1.0); // builds the shared [E | F] block
     batch
 }
 
@@ -267,7 +302,7 @@ fn measure_large_grid(n: usize, iters: u32, reps: u32) -> (Value, f64) {
         );
         churn(&mut exact, 0);
         let t0 = Instant::now();
-        exact.advance(1.0); // builds expm(-C⁻¹A·dt) and the steady solve
+        exact.advance(1.0); // builds [E | F]: expm(-C⁻¹A·dt) and (I − E)·A⁻¹
         let first_ns = t0.elapsed().as_nanos() as f64;
         let mut round = 0u64;
         let exact_ns = median_ns_per_iter(
@@ -472,6 +507,53 @@ fn main() {
         println!(
             "gate: die_advance_1s {default_ns:.0} ns vs committed {committed:.0} ns \
              ({ratio:.2}x, limit 3x)"
+        );
+    }
+
+    // Power churn every tick, as in the campaigns; the quad entry is gated.
+    let mut churn_doc = Value::object();
+    churn_doc.set(
+        "workload",
+        Value::Str("set_core_power on every core (new value each tick), advance(0.01 s)".into()),
+    );
+    let mut quad_tick_ns = f64::NAN;
+    for (name, floorplan) in [
+        ("quad", Floorplan::quad()),
+        ("grid_4x4", Floorplan::grid(4, 4)),
+    ] {
+        let (ns, allocs, nodes) = measure_tick_churn(floorplan, iters * 25, reps);
+        println!("die_tick_churn [{name}, {nodes} nodes]: {ns:.0} ns/tick, {allocs} allocs/tick");
+        let mut entry = Value::object();
+        entry.set("nodes", Value::UInt(nodes as u64));
+        entry.set("die_tick_churn_ns", Value::num(ns));
+        entry.set("allocs_per_tick", Value::UInt(allocs));
+        churn_doc.set(name, entry);
+        if name == "quad" {
+            quad_tick_ns = ns;
+        }
+    }
+    doc.set("tick_churn", churn_doc);
+    doc.set("die_tick_churn_ns", Value::num(quad_tick_ns));
+    let gate_churn_baseline: Option<f64> = committed_doc
+        .as_ref()
+        .and_then(|doc| doc.get("die_tick_churn_ns").and_then(Value::as_f64));
+    if let Some(committed) = gate_churn_baseline {
+        let ratio = quad_tick_ns / committed;
+        if ratio > 3.0 {
+            eprintln!(
+                "bench_thermal: GATE FAILED: die_tick_churn {quad_tick_ns:.0} ns is {ratio:.2}x \
+                 the committed {committed:.0} ns (limit 3x); {out_path} left untouched"
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "gate: die_tick_churn {quad_tick_ns:.0} ns vs committed {committed:.0} ns \
+             ({ratio:.2}x, limit 3x)"
+        );
+    } else if gate {
+        eprintln!(
+            "bench_thermal: no committed die_tick_churn_ns in {out_path}; \
+             tick-churn gate skipped (first run?)"
         );
     }
 

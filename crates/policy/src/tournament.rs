@@ -129,9 +129,9 @@ pub fn scenario_matrix(seed: u64, quick: bool) -> Vec<TournamentScenario> {
     );
 
     // Large floorplan: the steady workload on a 16-core 4×4 grid die
-    // under the `Auto` stepper, so the tournament exercises the
-    // large-floorplan fast path (adaptive embedded-RK with the
-    // exact-propagator crossover) end-to-end, not just in microbenches.
+    // under the `Auto` stepper, so the tournament runs `Auto`'s
+    // node-count rule end-to-end, not just in microbenches. At 18 nodes
+    // the rule picks the exact zero-order-hold step.
     let mut grid_sim = SimConfig {
         floorplan: Some(Floorplan::grid(4, 4)),
         ..base

@@ -251,8 +251,9 @@ impl Simulation {
                 }
                 {
                     // The span lives here rather than inside
-                    // `DieModel::advance` so the ~60 ns solver hot path
-                    // (bench: `die_advance_1s`) stays uninstrumented.
+                    // `DieModel::advance` so the solver hot path, one
+                    // `[E | F]` product per tick (bench:
+                    // `die_tick_churn_ns`), stays uninstrumented.
                     let _g = tel::span!("thermal.step");
                     self.die.advance(self.config.tick);
                 }

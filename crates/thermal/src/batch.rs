@@ -6,61 +6,47 @@
 //! independent *state* (temperatures, powers, ambient). State lives in
 //! contiguous node-major buffers — entry `(node, die)` at
 //! `buf[node * width + die]` — so the exact stepper advances every die at
-//! once with a single matrix–matrix product
+//! once with a single zero-order-hold product
 //!
 //! ```text
-//! [T₁' T₂' … Tₙ'] = T_ss + E · ([T₁ T₂ … Tₙ] - T_ss)
+//! [T₁' … T_N'] = [E | F] · [T₁ … T_N; u₁ … u_N]
 //! ```
 //!
-//! via [`Matrix::mul_cols_into`], amortising the cached propagator
-//! `E = exp(-C⁻¹A·dt)` and the build-time LU across the whole batch
-//! instead of paying one matrix–vector pass per die.
+//! via [`mul_cols_into`], where `u_d = P_d + g_amb·T_amb,d` is die `d`'s
+//! injection column, kept current by the setters. The cached block
+//! (`E = exp(-C⁻¹A·dt)`, `F = (I − E)·A⁻¹`) is keyed on `dt` alone and
+//! shared by the whole batch, so a power or ambient change costs nothing
+//! at step time: no steady solve, no per-die dirty state.
 //!
 //! [`Stepper::Adaptive`] runs the same embedded Dormand–Prince 5(4)
 //! kernel as the scalar path, one die at a time against gathered
 //! per-die columns, each die carrying its own warm-start step size.
-//! [`Stepper::Auto`] resolves once per advance for the whole fleet from
-//! the prototype's crossover rule fed with batch-level churn counters.
+//! [`Stepper::Auto`] resolves for the whole fleet by the prototype's
+//! node-count rule, so a batch never splits steppers.
 //!
 //! **Bit-exactness is a hard contract**: a die advanced inside a batch
 //! produces bit-for-bit the temperatures of the same die advanced alone
 //! through [`RcNetwork::advance`] (pinned by the `batch_agrees_with_scalar`
 //! proptest). Every batch operation is either elementwise or accumulates
-//! in the same order as its scalar counterpart, and the propagator/steady
-//! solver and the adaptive kernel are the same code paths. This is what
-//! lets the serve layer route sessions through a shard-wide batch while
-//! keeping snapshots, and the campaign runner keep checkpoints,
-//! byte-identical.
-//!
-//! **Dirty-column rule**: changing one die's power or ambient marks only
-//! that die's column of the cached steady state (and injection vector)
-//! dirty; the next exact step refreshes exactly the dirty columns (one
-//! steady solve each). A step size change rebuilds the shared propagator
-//! and re-dirties every column, mirroring the scalar cache.
+//! in the same order as its scalar counterpart, and the `[E | F]` block,
+//! its product kernel (the scalar network is the width-1 case) and the
+//! adaptive kernel are the same code paths. This is what lets the serve
+//! layer route sessions through a shard-wide batch while keeping
+//! snapshots, and the campaign runner keep checkpoints, byte-identical.
 
 use crate::floorplan::DieModel;
-use crate::linalg::Matrix;
-use crate::network::{NodeId, RcNetwork};
+use crate::linalg::mul_cols_into;
+use crate::network::{NodeId, RcNetwork, Zoh};
 use crate::rk::{self, DormandPrince54, MAX_RK_STAGES};
-use crate::sparse::CgScratch;
 use crate::stepper::Stepper;
 
-/// The shared exact propagator for one step size (one matrix for the
-/// whole batch; steady states live per column in the batch itself).
-#[derive(Debug, Clone)]
-struct BatchExactCache {
-    dt: f64,
-    /// `E = exp(-C⁻¹A·dt)`, built by [`RcNetwork::propagator_matrix`].
-    propagator: Matrix,
-}
-
 /// Preallocated batch stepper scratch, so batched stepping never touches
-/// the heap once the propagator for the current step size is cached.
+/// the heap once the `[E | F]` block for the current step size is cached.
 /// `k1..k4` and `tmp`/`t0` are `nodes × width` (the explicit steppers
-/// sweep every die at once); `k5..k7`, `ya`, `inj` and the steady-solve
-/// scratch are single columns of length `nodes` (the adaptive kernel
-/// gathers one die at a time, reusing prefixes of the wide buffers for
-/// its first stages).
+/// sweep every die at once, and `k1` takes the exact product); `k5..k7`,
+/// `ya` and `inj` are single columns of length `nodes` (the adaptive
+/// kernel gathers one die at a time, reusing prefixes of the wide
+/// buffers for its first stages).
 #[derive(Debug, Clone, Default)]
 struct BatchWorkspace {
     k1: Vec<f64>,
@@ -76,9 +62,6 @@ struct BatchWorkspace {
     ya: Vec<f64>,
     /// One die's gathered injection column `P_i + g_amb_i·T_amb`.
     inj: Vec<f64>,
-    rhs: Vec<f64>,
-    col: Vec<f64>,
-    cg: CgScratch,
 }
 
 impl BatchWorkspace {
@@ -95,9 +78,6 @@ impl BatchWorkspace {
             t0: vec![0.0; nodes * width],
             ya: vec![0.0; nodes],
             inj: vec![0.0; nodes],
-            rhs: vec![0.0; nodes],
-            col: vec![0.0; nodes],
-            cg: CgScratch::with_len(nodes),
         }
     }
 }
@@ -111,33 +91,22 @@ pub struct NetworkBatch {
     proto: RcNetwork,
     width: usize,
     nodes: usize,
-    /// Node temperatures (°C), node-major: `temps[node * width + die]`.
-    temps: Vec<f64>,
+    /// The state block `[T; U]`, node-major, `2·nodes` rows of `width`:
+    /// row `i < nodes` holds node `i`'s temperature (°C) per die, row
+    /// `nodes + i` its injection `P_i + g_amb_i·T_amb` per die, kept
+    /// current by the setters.
+    state: Vec<f64>,
     /// Injected node powers (W), node-major.
     powers: Vec<f64>,
     /// Per-die ambient temperature (°C).
     ambient: Vec<f64>,
-    /// Cached per-node injection `P_i + g_amb_i·T_amb`, node-major;
-    /// column `d` is valid iff `inject_dirty[d]` is false.
-    inject: Vec<f64>,
-    /// Per-die steady-state temperatures, node-major; column `d` is valid
-    /// iff `steady_dirty[d]` is false.
-    t_ss: Vec<f64>,
-    /// Which dies changed power/ambient since their last steady refresh.
-    steady_dirty: Vec<bool>,
-    /// Which dies changed power/ambient since their last inject refresh.
-    inject_dirty: Vec<bool>,
     /// Per-die adaptive warm-start step size (the scalar `adaptive_dt`).
     adaptive_dt: Vec<Option<f64>>,
-    exact: Option<BatchExactCache>,
+    exact: Option<Zoh>,
     ws: BatchWorkspace,
     propagator_builds: u64,
-    steady_refreshes: u64,
     adaptive_steps: u64,
     step_rejections: u64,
-    /// Fleet-level churn history feeding the shared `Auto` crossover rule.
-    auto_advances: u64,
-    auto_dirty_advances: u64,
 }
 
 /// One O(nnz·width) CSR sweep computing dT/dt for every (node, die); the
@@ -170,32 +139,27 @@ impl NetworkBatch {
     pub fn new(proto: &RcNetwork, width: usize) -> Self {
         assert!(width > 0, "batch width must be positive");
         let nodes = proto.len();
-        let mut temps = vec![0.0; nodes * width];
+        let mut state = vec![0.0; 2 * nodes * width];
+        for (row, &v) in state.chunks_exact_mut(width).zip(proto.state()) {
+            row.fill(v);
+        }
         let mut powers = vec![0.0; nodes * width];
-        for i in 0..nodes {
-            temps[i * width..(i + 1) * width].fill(proto.temperatures()[i]);
-            powers[i * width..(i + 1) * width].fill(proto.powers()[i]);
+        for (row, &p) in powers.chunks_exact_mut(width).zip(proto.powers()) {
+            row.fill(p);
         }
         NetworkBatch {
             proto: proto.clone(),
             width,
             nodes,
-            temps,
+            state,
             powers,
             ambient: vec![proto.ambient(); width],
-            inject: vec![0.0; nodes * width],
-            t_ss: vec![0.0; nodes * width],
-            steady_dirty: vec![true; width],
-            inject_dirty: vec![true; width],
             adaptive_dt: vec![None; width],
             exact: None,
             ws: BatchWorkspace::new(nodes, width),
             propagator_builds: 0,
-            steady_refreshes: 0,
             adaptive_steps: 0,
             step_rejections: 0,
-            auto_advances: 0,
-            auto_dirty_advances: 0,
         }
     }
 
@@ -209,16 +173,10 @@ impl NetworkBatch {
         self.nodes
     }
 
-    /// How many times the shared propagator was (re)built — once per
+    /// How many times the shared `[E | F]` block was (re)built — once per
     /// distinct step size seen by [`Stepper::Exact`].
     pub fn propagator_builds(&self) -> u64 {
         self.propagator_builds
-    }
-
-    /// How many per-die steady-state columns have been refreshed (one
-    /// steady solve each, triggered by that die's power/ambient changes).
-    pub fn steady_refreshes(&self) -> u64 {
-        self.steady_refreshes
     }
 
     /// Accepted adaptive steps summed over all dies and advances.
@@ -231,28 +189,24 @@ impl NetworkBatch {
         self.step_rejections
     }
 
-    /// What [`Stepper::Auto`] resolves to for this fleet right now, from
-    /// the prototype's crossover rule and batch-level churn history.
+    /// What [`Stepper::Auto`] resolves to for this fleet: the
+    /// prototype's node-count rule ([`RcNetwork::resolve_auto`]).
     pub fn resolve_auto(&self) -> Stepper {
-        self.proto
-            .auto_choice(self.auto_advances, self.auto_dirty_advances)
+        self.proto.resolve_auto()
     }
 
-    /// Sets the power (W) injected into one node of one die; marks only
-    /// that die's steady-state and injection columns dirty (no-op if
-    /// unchanged).
+    /// Sets the power (W) injected into one node of one die and updates
+    /// that die's injection entry with the scalar network's expression.
     ///
     /// # Panics
     ///
     /// Panics if `die` is out of range.
     pub fn set_power(&mut self, die: usize, node: NodeId, watts: f64) {
         assert!(die < self.width, "die index out of range");
-        let idx = node.index() * self.width + die;
-        if self.powers[idx] != watts {
-            self.powers[idx] = watts;
-            self.steady_dirty[die] = true;
-            self.inject_dirty[die] = true;
-        }
+        let i = node.index();
+        self.powers[i * self.width + die] = watts;
+        self.state[(self.nodes + i) * self.width + die] =
+            watts + self.proto.ambient_conductance[i] * self.ambient[die];
     }
 
     /// Power currently injected into a node of a die (W).
@@ -260,18 +214,18 @@ impl NetworkBatch {
         self.powers[node.index() * self.width + die]
     }
 
-    /// Sets one die's ambient temperature (°C); marks only that die's
-    /// steady-state and injection columns dirty (no-op if unchanged).
+    /// Sets one die's ambient temperature (°C) and recomputes that die's
+    /// injection column.
     ///
     /// # Panics
     ///
     /// Panics if `die` is out of range.
     pub fn set_ambient(&mut self, die: usize, ambient_c: f64) {
         assert!(die < self.width, "die index out of range");
-        if self.ambient[die] != ambient_c {
-            self.ambient[die] = ambient_c;
-            self.steady_dirty[die] = true;
-            self.inject_dirty[die] = true;
+        self.ambient[die] = ambient_c;
+        for i in 0..self.nodes {
+            self.state[(self.nodes + i) * self.width + die] =
+                self.powers[i * self.width + die] + self.proto.ambient_conductance[i] * ambient_c;
         }
     }
 
@@ -282,7 +236,7 @@ impl NetworkBatch {
 
     /// Current temperature (°C) of one node of one die.
     pub fn temperature(&self, die: usize, node: NodeId) -> f64 {
-        self.temps[node.index() * self.width + die]
+        self.state[node.index() * self.width + die]
     }
 
     /// Copies one die's node temperatures (network node order) into `out`.
@@ -293,7 +247,7 @@ impl NetworkBatch {
     pub fn temperatures_into(&self, die: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.nodes, "out must cover every node");
         for (i, o) in out.iter_mut().enumerate() {
-            *o = self.temps[i * self.width + die];
+            *o = self.state[i * self.width + die];
         }
     }
 
@@ -306,45 +260,28 @@ impl NetworkBatch {
     pub fn set_temperatures(&mut self, die: usize, temps: &[f64]) {
         assert_eq!(temps.len(), self.nodes, "temps must cover every node");
         for (i, &t) in temps.iter().enumerate() {
-            self.temps[i * self.width + die] = t;
+            self.state[i * self.width + die] = t;
         }
     }
 
-    /// Refreshes the cached injection columns of every dirty die — the
-    /// batched counterpart of the scalar inject refresh, same expression,
-    /// so the gathered columns match the scalar buffer bit-for-bit.
-    fn refresh_inject(&mut self) {
-        for die in 0..self.width {
-            if !self.inject_dirty[die] {
-                continue;
-            }
-            for i in 0..self.nodes {
-                self.inject[i * self.width + die] = self.powers[i * self.width + die]
-                    + self.proto.ambient_conductance[i] * self.ambient[die];
-            }
-            self.inject_dirty[die] = false;
+    /// One zero-order-hold step for every die, `[T'] = [E | F]·[T; U]`,
+    /// rebuilding the shared block first if it was built for a different
+    /// step size.
+    fn step_exact(&mut self, dt: f64) {
+        if self.exact.as_ref().is_none_or(|z| z.dt != dt) {
+            self.exact = Some(self.proto.zoh(dt));
+            self.propagator_builds += 1;
+            thermorl_telemetry::counter!("thermal.propagator_builds");
+            thermorl_telemetry::event!(
+                "thermal.rebuild",
+                "batch propagator dt={dt} width={}",
+                self.width
+            );
         }
-    }
-
-    /// Rebuilds the shared propagator if the cached one was built for a
-    /// different step size; a rebuild re-dirties every steady column,
-    /// mirroring the scalar cache.
-    fn ensure_exact_cache(&mut self, dt: f64) {
-        if self.exact.as_ref().is_some_and(|c| c.dt == dt) {
-            return;
-        }
-        self.exact = Some(BatchExactCache {
-            dt,
-            propagator: self.proto.propagator_matrix(dt),
-        });
-        self.propagator_builds += 1;
-        thermorl_telemetry::counter!("thermal.propagator_builds");
-        thermorl_telemetry::event!(
-            "thermal.rebuild",
-            "batch propagator dt={dt} width={}",
-            self.width
-        );
-        self.steady_dirty.fill(true);
+        let zoh = self.exact.as_ref().expect("cache ensured above");
+        let out = &mut self.ws.k1;
+        mul_cols_into(&zoh.block, self.nodes, &self.state, out, self.width);
+        self.state[..out.len()].copy_from_slice(out);
     }
 
     /// Advances every die by a single step of `dt` seconds.
@@ -358,85 +295,39 @@ impl NetworkBatch {
             Stepper::Adaptive { rel_tol, abs_tol } => {
                 return self.advance_adaptive(dt, dt, rel_tol, abs_tol);
             }
-            Stepper::Auto => {
-                let resolved = self.resolve_auto();
-                return self.step(dt, resolved);
-            }
-            _ => {}
+            Stepper::Auto => return self.step(dt, self.resolve_auto()),
+            Stepper::Exact => return self.step_exact(dt),
+            Stepper::ForwardEuler | Stepper::Rk4 => {}
         }
-        self.refresh_inject();
-        let mut ws = std::mem::take(&mut self.ws);
-        match stepper {
-            Stepper::ForwardEuler => {
-                batch_derivative(
-                    &self.proto,
-                    &self.inject,
-                    self.width,
-                    &self.temps,
-                    &mut ws.k1,
-                );
-                for (t, d) in self.temps.iter_mut().zip(&ws.k1) {
-                    *t += dt * d;
-                }
+        let ws = &mut self.ws;
+        let (t, inject) = self.state.split_at_mut(self.nodes * self.width);
+        let derivative = |t: &[f64], out: &mut [f64]| {
+            batch_derivative(&self.proto, inject, self.width, t, out);
+        };
+        if stepper == Stepper::ForwardEuler {
+            derivative(t, &mut ws.k1);
+            for (t, d) in t.iter_mut().zip(&ws.k1) {
+                *t += dt * d;
             }
-            Stepper::Rk4 => {
-                ws.t0.copy_from_slice(&self.temps);
-                batch_derivative(&self.proto, &self.inject, self.width, &ws.t0, &mut ws.k1);
-                for i in 0..ws.t0.len() {
-                    ws.tmp[i] = ws.t0[i] + 0.5 * dt * ws.k1[i];
-                }
-                batch_derivative(&self.proto, &self.inject, self.width, &ws.tmp, &mut ws.k2);
-                for i in 0..ws.t0.len() {
-                    ws.tmp[i] = ws.t0[i] + 0.5 * dt * ws.k2[i];
-                }
-                batch_derivative(&self.proto, &self.inject, self.width, &ws.tmp, &mut ws.k3);
-                for i in 0..ws.t0.len() {
-                    ws.tmp[i] = ws.t0[i] + dt * ws.k3[i];
-                }
-                batch_derivative(&self.proto, &self.inject, self.width, &ws.tmp, &mut ws.k4);
-                for i in 0..ws.t0.len() {
-                    self.temps[i] = ws.t0[i]
-                        + dt / 6.0 * (ws.k1[i] + 2.0 * ws.k2[i] + 2.0 * ws.k3[i] + ws.k4[i]);
-                }
+        } else {
+            ws.t0.copy_from_slice(t);
+            derivative(&ws.t0, &mut ws.k1);
+            for i in 0..ws.t0.len() {
+                ws.tmp[i] = ws.t0[i] + 0.5 * dt * ws.k1[i];
             }
-            Stepper::Exact => {
-                self.ensure_exact_cache(dt);
-                let cache = self.exact.take().expect("cache ensured above");
-                // Refresh exactly the dirty steady-state columns: build
-                // that die's rhs, one steady solve, scatter the column
-                // back.
-                for die in 0..self.width {
-                    if !self.steady_dirty[die] {
-                        continue;
-                    }
-                    for i in 0..self.nodes {
-                        ws.rhs[i] = self.powers[i * self.width + die]
-                            + self.proto.ambient_conductance[i] * self.ambient[die];
-                    }
-                    self.proto
-                        .solve_steady_into(&ws.rhs, &mut ws.col, &mut ws.cg);
-                    for i in 0..self.nodes {
-                        self.t_ss[i * self.width + die] = ws.col[i];
-                    }
-                    self.steady_dirty[die] = false;
-                    self.steady_refreshes += 1;
-                    thermorl_telemetry::counter!("thermal.steady_refreshes");
-                }
-                // T(t+dt) = T_ss + E·(T(t) - T_ss), all dies in one GEMM.
-                for i in 0..self.temps.len() {
-                    ws.tmp[i] = self.temps[i] - self.t_ss[i];
-                }
-                cache
-                    .propagator
-                    .mul_cols_into(&ws.tmp, &mut ws.k1, self.width);
-                for i in 0..self.temps.len() {
-                    self.temps[i] = self.t_ss[i] + ws.k1[i];
-                }
-                self.exact = Some(cache);
+            derivative(&ws.tmp, &mut ws.k2);
+            for i in 0..ws.t0.len() {
+                ws.tmp[i] = ws.t0[i] + 0.5 * dt * ws.k2[i];
             }
-            Stepper::Adaptive { .. } | Stepper::Auto => unreachable!("handled above"),
+            derivative(&ws.tmp, &mut ws.k3);
+            for i in 0..ws.t0.len() {
+                ws.tmp[i] = ws.t0[i] + dt * ws.k3[i];
+            }
+            derivative(&ws.tmp, &mut ws.k4);
+            for (i, t) in t.iter_mut().enumerate() {
+                *t = ws.t0[i] + dt / 6.0 * (ws.k1[i] + 2.0 * ws.k2[i] + 2.0 * ws.k3[i] + ws.k4[i]);
+            }
         }
-        self.ws = ws;
     }
 
     /// Advances every die by `duration` seconds under the embedded
@@ -448,8 +339,7 @@ impl NetworkBatch {
         if duration <= 0.0 {
             return;
         }
-        self.refresh_inject();
-        let mut ws = std::mem::take(&mut self.ws);
+        let ws = &mut self.ws;
         let n = self.nodes;
         let ode = self.proto.ode_view();
         let mut stages: [&mut [f64]; MAX_RK_STAGES] = [
@@ -466,8 +356,8 @@ impl NetworkBatch {
         let mut dt_last = dt_hint;
         for die in 0..self.width {
             for i in 0..n {
-                ws.ya[i] = self.temps[i * self.width + die];
-                ws.inj[i] = self.inject[i * self.width + die];
+                ws.ya[i] = self.state[i * self.width + die];
+                ws.inj[i] = self.state[(n + i) * self.width + die];
             }
             let dt0 = self.adaptive_dt[die].unwrap_or(dt_hint);
             let stats = rk::integrate::<DormandPrince54>(
@@ -483,7 +373,7 @@ impl NetworkBatch {
                 &mut ws.t0[..n],
             );
             for i in 0..n {
-                self.temps[i * self.width + die] = ws.ya[i];
+                self.state[i * self.width + die] = ws.ya[i];
             }
             self.adaptive_dt[die] = Some(stats.dt_next);
             accepted += stats.accepted;
@@ -495,19 +385,6 @@ impl NetworkBatch {
         thermorl_telemetry::counter!("thermal.adaptive_steps", accepted);
         thermorl_telemetry::counter!("thermal.step_rejections", rejected);
         thermorl_telemetry::gauge!("thermal.dt_current", dt_last);
-        self.ws = ws;
-    }
-
-    /// Records one advance of fleet churn history and resolves `Auto` —
-    /// the batched [`RcNetwork`] auto resolution, with "churned" meaning
-    /// *any* die saw a power/ambient change since the last advance.
-    fn resolve_auto_advance(&mut self) -> Stepper {
-        self.auto_advances += 1;
-        let churned = (0..self.width).any(|d| self.steady_dirty[d] && self.inject_dirty[d]);
-        if churned {
-            self.auto_dirty_advances += 1;
-        }
-        self.resolve_auto()
     }
 
     /// Advances every die by `duration` seconds — the batched counterpart
@@ -520,12 +397,12 @@ impl NetworkBatch {
         thermorl_telemetry::counter!("thermal.batch_advances");
         thermorl_telemetry::gauge!("thermal.batch_width", self.width as f64);
         let stepper = if stepper == Stepper::Auto {
-            self.resolve_auto_advance()
+            self.resolve_auto()
         } else {
             stepper
         };
         if stepper == Stepper::Exact {
-            self.step(duration, stepper);
+            self.step_exact(duration);
             return;
         }
         if let Stepper::Adaptive { rel_tol, abs_tol } = stepper {
@@ -718,27 +595,21 @@ mod tests {
     }
 
     #[test]
-    fn dirty_column_refresh_is_per_die() {
+    fn batch_propagator_is_keyed_on_dt_alone() {
         let proto = two_node();
         let mut batch = NetworkBatch::new(&proto, 4);
         batch.step(0.1, Stepper::Exact);
         assert_eq!(batch.propagator_builds(), 1);
-        assert_eq!(batch.steady_refreshes(), 4, "all columns start dirty");
 
-        // Unchanged: no refresh at all.
-        batch.step(0.1, Stepper::Exact);
-        assert_eq!(batch.steady_refreshes(), 4);
-
-        // Touch one die: exactly one column refreshes.
+        // One die's power and another's ambient move: same block.
         batch.set_power(2, NodeId(0), 3.0);
+        batch.set_ambient(1, 31.0);
         batch.step(0.1, Stepper::Exact);
-        assert_eq!(batch.steady_refreshes(), 5);
         assert_eq!(batch.propagator_builds(), 1);
 
-        // New dt: propagator rebuilt, every column re-dirtied.
+        // New dt: the shared block is rebuilt once for the whole fleet.
         batch.step(0.2, Stepper::Exact);
         assert_eq!(batch.propagator_builds(), 2);
-        assert_eq!(batch.steady_refreshes(), 9);
     }
 
     #[test]

@@ -19,19 +19,20 @@
 //! * every integrator works out of preallocated scratch buffers owned by
 //!   the network — steady-state stepping performs **zero** heap
 //!   allocations (see `tests/zero_alloc.rs`);
-//! * [`Stepper::Exact`] advances a whole step with a single matrix-vector
-//!   product against the cached propagator `E = exp(-C⁻¹G·dt)`, with the
-//!   steady state obtained from an LU factorisation computed once at build
-//!   time (only the right-hand side changes when powers or ambient move);
+//! * [`Stepper::Exact`] advances a whole step in zero-order-hold form,
+//!   `T' = E·T + F·u`, with one product of the cached `n × 2n` block
+//!   `[E | F]` (`E = exp(-C⁻¹A·dt)`, `F = (I − E)·A⁻¹`, built once per
+//!   step size) against the state block `[T; u]`, where
+//!   `u = P + g_amb·T_amb` is kept current by the setters — no solve and
+//!   no cache invalidation when powers or ambient move;
 //! * [`Stepper::Adaptive`] integrates with an embedded Dormand–Prince
 //!   5(4) pair over the sparse CSR graph only — O(nnz) per stage, no
 //!   dense `expm`/LU — so floorplans with thousands of nodes still step;
 //!   above [`DENSE_STEADY_LIMIT`] nodes the steady-state solve switches
 //!   from dense LU to Jacobi-preconditioned conjugate gradient;
-//! * [`Stepper::Auto`] picks between the two per advance from node count
-//!   and power-churn rate.
+//! * [`Stepper::Auto`] picks between the two from the node count.
 
-use crate::linalg::{Lu, Matrix, SolveError};
+use crate::linalg::{mul_cols_into, Lu, Matrix, SolveError};
 use crate::rk::{self, DormandPrince54, MAX_RK_STAGES};
 use crate::sparse::{cg_solve, CgScratch, OdeView, CG_REL_TOL};
 use crate::stepper::Stepper;
@@ -233,8 +234,7 @@ impl RcNetworkBuilder {
             SteadySolver::MatrixFree
         };
         let inv_capacitance: Vec<f64> = self.capacitance.iter().map(|&c| 1.0 / c).collect();
-        let temperature = vec![self.ambient; n];
-        Ok(RcNetwork {
+        let mut net = RcNetwork {
             names: self.names,
             capacitance: self.capacitance,
             inv_capacitance,
@@ -245,20 +245,17 @@ impl RcNetworkBuilder {
             steady,
             ambient_conductance: self.ambient_conductance,
             ambient: self.ambient,
-            temperature,
+            state: vec![self.ambient; 2 * n],
             power: vec![0.0; n],
             scratch: Workspace::with_len(n),
             exact: None,
-            steady_dirty: true,
-            inject_dirty: true,
             adaptive_dt: None,
             propagator_builds: 0,
-            steady_refreshes: 0,
             adaptive_steps: 0,
             step_rejections: 0,
-            auto_advances: 0,
-            auto_dirty_advances: 0,
-        })
+        };
+        net.set_ambient(self.ambient); // fills the injection half of `state`
+        Ok(net)
     }
 }
 
@@ -287,14 +284,11 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Preallocated stepper scratch, so steady-state stepping never touches
-/// the heap. `k1..k7` are RK stage slopes (`k1` doubles as the Euler
-/// slope and the exact step's output; the adaptive DP54 pair uses all
-/// seven), `tmp` holds intermediate states, `t0` the step's initial
-/// temperatures (the adaptive kernel reuses it as its trial-solution
-/// buffer), `inject` the cached per-node `P_i + g_amb_i·T_amb` refreshed
-/// only when power or ambient change, and `cg` the conjugate-gradient
-/// scratch for matrix-free steady solves.
+/// Preallocated stepper scratch, so stepping never touches the heap.
+/// `k1..k7` are RK stage slopes (`k1` doubles as the Euler slope and the
+/// exact step's output; the adaptive DP54 pair uses all seven), `tmp`
+/// holds intermediate states, and `t0` the step's initial temperatures
+/// (the adaptive kernel reuses it as its trial-solution buffer).
 #[derive(Debug, Clone, Default)]
 struct Workspace {
     k1: Vec<f64>,
@@ -306,8 +300,6 @@ struct Workspace {
     k7: Vec<f64>,
     tmp: Vec<f64>,
     t0: Vec<f64>,
-    inject: Vec<f64>,
-    cg: CgScratch,
 }
 
 impl Workspace {
@@ -322,8 +314,6 @@ impl Workspace {
             k7: vec![0.0; n],
             tmp: vec![0.0; n],
             t0: vec![0.0; n],
-            inject: vec![0.0; n],
-            cg: CgScratch::with_len(n),
         }
     }
 }
@@ -337,19 +327,16 @@ pub(crate) enum SteadySolver {
     MatrixFree,
 }
 
-/// The cached exact propagator for one step size, plus the steady-state
-/// vector it pivots around. Rebuilt only when `dt` changes; the steady
-/// state is refreshed (one LU solve against the build-time factorisation)
-/// only when powers or ambient have changed since the last exact step.
+/// The zero-order-hold step for one step size, shared by the scalar and
+/// batched exact steppers: `block` is the `n × 2n` matrix `[E | F]`,
+/// stored column by column as [`mul_cols_into`] takes it, with
+/// `E = exp(-C⁻¹A·dt)` and `F = (I − E)·A⁻¹`, so one product against the
+/// state block `[T; u]` gives `T' = E·T + F·u`. Keyed on `dt` alone:
+/// powers and ambient enter only through `u`.
 #[derive(Debug, Clone)]
-struct ExactCache {
-    dt: f64,
-    /// `E = exp(-C⁻¹A·dt)` where `A` is the full conductance Laplacian.
-    propagator: Matrix,
-    /// Steady-state temperatures for the current `(power, ambient)`.
-    t_ss: Vec<f64>,
-    /// Right-hand side scratch for the steady-state solve.
-    rhs: Vec<f64>,
+pub(crate) struct Zoh {
+    pub dt: f64,
+    pub block: Vec<f64>,
 }
 
 /// A lumped RC thermal network with per-node power injection.
@@ -373,29 +360,21 @@ pub struct RcNetwork {
     pub(crate) steady: SteadySolver,
     pub(crate) ambient_conductance: Vec<f64>,
     ambient: f64,
-    temperature: Vec<f64>,
+    /// The state block `[T; u]`: node temperatures, then the per-node
+    /// injection `u_i = P_i + g_amb_i·T_amb` every stepper reads. The
+    /// setters keep `u` current, so no stepper refreshes it.
+    state: Vec<f64>,
     power: Vec<f64>,
     scratch: Workspace,
-    exact: Option<ExactCache>,
-    /// Whether `(power, ambient)` changed since the last steady-state
-    /// refresh of the exact cache.
-    steady_dirty: bool,
-    /// Whether `(power, ambient)` changed since the last refresh of the
-    /// workspace `inject` buffer used by the explicit/adaptive steppers.
-    inject_dirty: bool,
+    exact: Option<Zoh>,
     /// Warm-start step size carried between adaptive advances. Not part
     /// of the thermal snapshot state: a restored network restarts the
     /// controller from the `dt` hint (one extra controller transient,
     /// same accuracy).
     adaptive_dt: Option<f64>,
     propagator_builds: u64,
-    steady_refreshes: u64,
     adaptive_steps: u64,
     step_rejections: u64,
-    /// Advances seen under `Stepper::Auto`, and how many of those had
-    /// power/ambient churn — the crossover heuristic's inputs.
-    auto_advances: u64,
-    auto_dirty_advances: u64,
 }
 
 impl RcNetwork {
@@ -427,21 +406,25 @@ impl RcNetwork {
 
     /// Sets the ambient temperature (°C); takes effect on the next step.
     pub fn set_ambient(&mut self, ambient_c: f64) {
-        if self.ambient != ambient_c {
-            self.ambient = ambient_c;
-            self.steady_dirty = true;
-            self.inject_dirty = true;
+        self.ambient = ambient_c;
+        let n = self.len();
+        for ((u, &p), &g) in self.state[n..]
+            .iter_mut()
+            .zip(&self.power)
+            .zip(&self.ambient_conductance)
+        {
+            *u = p + g * ambient_c;
         }
     }
 
     /// Current temperature of a node (°C).
     pub fn temperature(&self, n: NodeId) -> f64 {
-        self.temperature[n.0]
+        self.state[n.0]
     }
 
     /// All node temperatures, indexed by [`NodeId::index`].
     pub fn temperatures(&self) -> &[f64] {
-        &self.temperature
+        &self.state[..self.len()]
     }
 
     /// Overrides all node temperatures (e.g. to start from a steady state).
@@ -450,22 +433,28 @@ impl RcNetwork {
     ///
     /// Panics if `temps.len() != self.len()`.
     pub fn set_temperatures(&mut self, temps: &[f64]) {
-        assert_eq!(temps.len(), self.temperature.len());
-        self.temperature.copy_from_slice(temps);
+        let n = self.len();
+        assert_eq!(temps.len(), n);
+        self.state[..n].copy_from_slice(temps);
     }
 
     /// Sets the power (W) injected into a node.
     pub fn set_power(&mut self, n: NodeId, watts: f64) {
-        if self.power[n.0] != watts {
-            self.power[n.0] = watts;
-            self.steady_dirty = true;
-            self.inject_dirty = true;
-        }
+        let i = n.0;
+        let len = self.len();
+        self.power[i] = watts;
+        self.state[len + i] = watts + self.ambient_conductance[i] * self.ambient;
     }
 
     /// Power currently injected into a node (W).
     pub fn power(&self, n: NodeId) -> f64 {
         self.power[n.0]
+    }
+
+    /// The state block `[T; u]` (temperatures, then injections), which a
+    /// [`crate::NetworkBatch`] broadcasts into its columns.
+    pub(crate) fn state(&self) -> &[f64] {
+        &self.state
     }
 
     /// All node powers (W), indexed by [`NodeId::index`] — the batch
@@ -482,12 +471,11 @@ impl RcNetwork {
         self.propagator_builds
     }
 
-    /// How many times the exact stepper refreshed its cached steady state
-    /// (one LU solve, triggered by power/ambient changes). Diagnostic for
-    /// cache behaviour (tests, benches); mirrored onto the telemetry
-    /// registry as the `thermal.steady_refreshes` counter.
+    /// Steady-state solves made while stepping. Always 0: the exact
+    /// stepper folds the steady state into its cached `F = (I − E)·A⁻¹`
+    /// once per step size. Kept for diagnostics that still read it.
     pub fn steady_refreshes(&self) -> u64 {
-        self.steady_refreshes
+        0
     }
 
     /// Accepted steps taken by [`Stepper::Adaptive`] advances so far.
@@ -520,27 +508,9 @@ impl RcNetwork {
         }
     }
 
-    /// Refreshes the cached per-node injection `P_i + g_amb_i·T_amb` if
-    /// power or ambient changed; every explicit/adaptive stage then reads
-    /// it instead of recomputing the sum per sub-step.
-    fn refresh_inject(&mut self, inject: &mut [f64]) {
-        if !self.inject_dirty {
-            return;
-        }
-        for ((inj, &p), &g) in inject
-            .iter_mut()
-            .zip(&self.power)
-            .zip(&self.ambient_conductance)
-        {
-            *inj = p + g * self.ambient;
-        }
-        self.inject_dirty = false;
-    }
-
     /// Solves the steady-state system `A·x = rhs` into `out` through
-    /// whichever solver the build chose. The single dispatch point shared
-    /// by the scalar and batched exact steppers.
-    pub(crate) fn solve_steady_into(&self, rhs: &[f64], out: &mut [f64], cg: &mut CgScratch) {
+    /// whichever solver the build chose.
+    fn solve_steady_into(&self, rhs: &[f64], out: &mut [f64], cg: &mut CgScratch) {
         match &self.steady {
             SteadySolver::Dense(lu) => lu.solve_into(rhs, out),
             SteadySolver::MatrixFree => {
@@ -550,11 +520,9 @@ impl RcNetwork {
         }
     }
 
-    /// Builds the exact propagator `E = exp(-C⁻¹A·dt)` for a step of `dt`
-    /// seconds. This is the single construction path shared by the scalar
-    /// exact stepper and [`crate::NetworkBatch`], so a batched die and an
-    /// independently stepped die apply bit-identical propagators.
-    pub(crate) fn propagator_matrix(&self, dt: f64) -> Matrix {
+    /// Builds the propagator `E = exp(-C⁻¹A·dt)` for a step of `dt`
+    /// seconds.
+    fn propagator_matrix(&self, dt: f64) -> Matrix {
         let n = self.len();
         // M = -dt·C⁻¹A from the CSR graph: row i is scaled by dt/C_i.
         let mut m = Matrix::zeros(n);
@@ -568,23 +536,54 @@ impl RcNetwork {
         m.expm()
     }
 
-    /// Rebuilds the exact propagator if the cached one was built for a
-    /// different step size (or does not exist yet).
-    fn ensure_exact_cache(&mut self, dt: f64) {
-        if self.exact.as_ref().is_some_and(|c| c.dt == dt) {
-            return;
-        }
+    /// Builds the zero-order-hold block `[E | F]` for a step of `dt`
+    /// seconds. `F = (I − E)·A⁻¹` takes `A⁻¹` one column at a time from
+    /// the steady solver. This is the single construction path shared by
+    /// the scalar exact stepper and [`crate::NetworkBatch`], so a batched
+    /// die and an independently stepped die apply bit-identical blocks.
+    pub(crate) fn zoh(&self, dt: f64) -> Zoh {
         let n = self.len();
-        self.exact = Some(ExactCache {
-            dt,
-            propagator: self.propagator_matrix(dt),
-            t_ss: vec![0.0; n],
-            rhs: vec![0.0; n],
-        });
-        self.propagator_builds += 1;
-        thermorl_telemetry::counter!("thermal.propagator_builds");
-        thermorl_telemetry::event!("thermal.rebuild", "propagator dt={dt}");
-        self.steady_dirty = true;
+        let e = self.propagator_matrix(dt);
+        let mut a_inv = Matrix::zeros(n);
+        let mut unit = vec![0.0; n];
+        let mut col = vec![0.0; n];
+        let mut cg = CgScratch::with_len(n);
+        for j in 0..n {
+            unit[j] = 1.0;
+            self.solve_steady_into(&unit, &mut col, &mut cg);
+            unit[j] = 0.0;
+            for (i, &v) in col.iter().enumerate() {
+                a_inv[(i, j)] = v;
+            }
+        }
+        let mut i_minus_e = e.scaled(-1.0);
+        for i in 0..n {
+            i_minus_e[(i, i)] += 1.0;
+        }
+        let f = i_minus_e.mul(&a_inv);
+        let mut block = Vec::with_capacity(2 * n * n);
+        for m in [&e, &f] {
+            for j in 0..n {
+                block.extend((0..n).map(|i| m[(i, j)]));
+            }
+        }
+        Zoh { dt, block }
+    }
+
+    /// One zero-order-hold step `T' = E·T + F·u`, rebuilding `[E | F]`
+    /// first if the cached block was built for a different step size.
+    fn step_exact(&mut self, dt: f64) {
+        if self.exact.as_ref().is_none_or(|z| z.dt != dt) {
+            self.exact = Some(self.zoh(dt));
+            self.propagator_builds += 1;
+            thermorl_telemetry::counter!("thermal.propagator_builds");
+            thermorl_telemetry::event!("thermal.rebuild", "propagator dt={dt}");
+        }
+        let zoh = self.exact.as_ref().expect("cache ensured above");
+        let n = self.len();
+        let out = &mut self.scratch.k1;
+        mul_cols_into(&zoh.block, n, &self.state, out, 1);
+        self.state[..n].copy_from_slice(out);
     }
 
     /// Advances the network by a single step of `dt` seconds.
@@ -601,69 +600,40 @@ impl RcNetwork {
             Stepper::Adaptive { rel_tol, abs_tol } => {
                 return self.advance_adaptive(dt, dt, rel_tol, abs_tol);
             }
-            Stepper::Auto => {
-                let resolved = self.auto_choice(self.auto_advances, self.auto_dirty_advances);
-                return self.step(dt, resolved);
-            }
-            _ => {}
+            Stepper::Auto => return self.step(dt, self.resolve_auto()),
+            Stepper::Exact => return self.step_exact(dt),
+            Stepper::ForwardEuler | Stepper::Rk4 => {}
         }
         // The workspace is moved out so its buffers can be borrowed
         // mutably alongside `&self` (a Vec move, not an allocation).
         let mut ws = std::mem::take(&mut self.scratch);
-        match stepper {
-            Stepper::ForwardEuler => {
-                self.refresh_inject(&mut ws.inject);
-                let ode = self.ode_view();
-                ode.derivative(&ws.inject, &self.temperature, &mut ws.k1);
-                for (t, d) in self.temperature.iter_mut().zip(&ws.k1) {
-                    *t += dt * d;
-                }
+        let n = self.len();
+        let ode = self.ode_view();
+        let (t, inject) = self.state.split_at(n);
+        if stepper == Stepper::ForwardEuler {
+            ode.derivative(inject, t, &mut ws.k1);
+            for (t, d) in self.state[..n].iter_mut().zip(&ws.k1) {
+                *t += dt * d;
             }
-            Stepper::Rk4 => {
-                self.refresh_inject(&mut ws.inject);
-                ws.t0.copy_from_slice(&self.temperature);
-                let ode = self.ode_view();
-                ode.derivative(&ws.inject, &ws.t0, &mut ws.k1);
-                for i in 0..ws.t0.len() {
-                    ws.tmp[i] = ws.t0[i] + 0.5 * dt * ws.k1[i];
-                }
-                ode.derivative(&ws.inject, &ws.tmp, &mut ws.k2);
-                for i in 0..ws.t0.len() {
-                    ws.tmp[i] = ws.t0[i] + 0.5 * dt * ws.k2[i];
-                }
-                ode.derivative(&ws.inject, &ws.tmp, &mut ws.k3);
-                for i in 0..ws.t0.len() {
-                    ws.tmp[i] = ws.t0[i] + dt * ws.k3[i];
-                }
-                ode.derivative(&ws.inject, &ws.tmp, &mut ws.k4);
-                for i in 0..ws.t0.len() {
-                    self.temperature[i] = ws.t0[i]
-                        + dt / 6.0 * (ws.k1[i] + 2.0 * ws.k2[i] + 2.0 * ws.k3[i] + ws.k4[i]);
-                }
+        } else {
+            ws.t0.copy_from_slice(t);
+            ode.derivative(inject, &ws.t0, &mut ws.k1);
+            for i in 0..n {
+                ws.tmp[i] = ws.t0[i] + 0.5 * dt * ws.k1[i];
             }
-            Stepper::Exact => {
-                self.ensure_exact_cache(dt);
-                let mut cache = self.exact.take().expect("cache ensured above");
-                if self.steady_dirty {
-                    for i in 0..cache.rhs.len() {
-                        cache.rhs[i] = self.power[i] + self.ambient_conductance[i] * self.ambient;
-                    }
-                    self.solve_steady_into(&cache.rhs, &mut cache.t_ss, &mut ws.cg);
-                    self.steady_refreshes += 1;
-                    thermorl_telemetry::counter!("thermal.steady_refreshes");
-                    self.steady_dirty = false;
-                }
-                // T(t+dt) = T_ss + E·(T(t) - T_ss)
-                for i in 0..cache.t_ss.len() {
-                    ws.tmp[i] = self.temperature[i] - cache.t_ss[i];
-                }
-                cache.propagator.mul_vec_into(&ws.tmp, &mut ws.k1);
-                for i in 0..cache.t_ss.len() {
-                    self.temperature[i] = cache.t_ss[i] + ws.k1[i];
-                }
-                self.exact = Some(cache);
+            ode.derivative(inject, &ws.tmp, &mut ws.k2);
+            for i in 0..n {
+                ws.tmp[i] = ws.t0[i] + 0.5 * dt * ws.k2[i];
             }
-            Stepper::Adaptive { .. } | Stepper::Auto => unreachable!("handled above"),
+            ode.derivative(inject, &ws.tmp, &mut ws.k3);
+            for i in 0..n {
+                ws.tmp[i] = ws.t0[i] + dt * ws.k3[i];
+            }
+            ode.derivative(inject, &ws.tmp, &mut ws.k4);
+            for i in 0..n {
+                self.state[i] =
+                    ws.t0[i] + dt / 6.0 * (ws.k1[i] + 2.0 * ws.k2[i] + 2.0 * ws.k3[i] + ws.k4[i]);
+            }
         }
         self.scratch = ws;
     }
@@ -676,8 +646,7 @@ impl RcNetwork {
         if duration <= 0.0 {
             return;
         }
-        let mut ws = std::mem::take(&mut self.scratch);
-        self.refresh_inject(&mut ws.inject);
+        let ws = &mut self.scratch;
         let dt0 = self.adaptive_dt.unwrap_or(dt_hint);
         let stats = {
             let ode = OdeView {
@@ -687,13 +656,14 @@ impl RcNetwork {
                 diag_g: &self.diag_g,
                 inv_cap: &self.inv_capacitance,
             };
+            let (t, inject) = self.state.split_at_mut(self.names.len());
             let mut stages: [&mut [f64]; MAX_RK_STAGES] = [
                 &mut ws.k1, &mut ws.k2, &mut ws.k3, &mut ws.k4, &mut ws.k5, &mut ws.k6, &mut ws.k7,
             ];
             rk::integrate::<DormandPrince54>(
                 &ode,
-                &ws.inject,
-                &mut self.temperature,
+                inject,
+                t,
                 duration,
                 dt0,
                 rel_tol,
@@ -709,53 +679,25 @@ impl RcNetwork {
         thermorl_telemetry::counter!("thermal.adaptive_steps", stats.accepted);
         thermorl_telemetry::counter!("thermal.step_rejections", stats.rejected);
         thermorl_telemetry::gauge!("thermal.dt_current", stats.dt_next);
-        self.scratch = ws;
     }
 
-    /// Node count at or below which [`Stepper::Auto`] always picks the
-    /// exact propagator: dense build is trivial there and each step is a
-    /// single O(n²) GEMV that adaptive stepping cannot beat.
+    /// Node count at or below which [`Stepper::Auto`] picks the exact
+    /// propagator on a dense network: the `[E | F]` build is trivial
+    /// there and each step is a single O(n²) product that adaptive
+    /// stepping cannot beat.
     const AUTO_EXACT_MAX_NODES: usize = 64;
-    /// Auto advances observed before the churn statistics are trusted.
-    const AUTO_WARMUP_ADVANCES: u64 = 4;
 
-    /// What [`Stepper::Auto`] resolves to right now, given this network's
-    /// size, steady-solver kind, and observed power-churn history.
+    /// What [`Stepper::Auto`] resolves to for this network: `Exact` when
+    /// it is dense (LU steady solver) and has at most 64 nodes, the
+    /// adaptive stepper otherwise. A function of the structure alone, so
+    /// a network and a batch of its clones always resolve alike.
     pub fn resolve_auto(&self) -> Stepper {
-        self.auto_choice(self.auto_advances, self.auto_dirty_advances)
-    }
-
-    /// Crossover rule shared with [`crate::NetworkBatch`] (which tracks
-    /// its own fleet-level churn counters).
-    pub(crate) fn auto_choice(&self, advances: u64, dirty_advances: u64) -> Stepper {
-        // Matrix-free networks must never densify an expm.
-        if matches!(self.steady, SteadySolver::MatrixFree) {
-            return Stepper::adaptive();
-        }
-        if self.len() <= Self::AUTO_EXACT_MAX_NODES {
-            return Stepper::Exact;
-        }
-        // Mid-size dense networks: the propagator pays off only when
-        // powers hold still (every churned advance costs an extra dense
-        // steady solve, while the adaptive path restarts cheaply). Wait
-        // out a few advances of history, then pick Exact only for
-        // low-churn (< 50% of advances) workloads.
-        if advances >= Self::AUTO_WARMUP_ADVANCES && dirty_advances * 2 <= advances {
+        if matches!(self.steady, SteadySolver::Dense(_)) && self.len() <= Self::AUTO_EXACT_MAX_NODES
+        {
             Stepper::Exact
         } else {
             Stepper::adaptive()
         }
-    }
-
-    /// Records one advance of churn history and resolves `Auto`.
-    fn resolve_auto_advance(&mut self) -> Stepper {
-        self.auto_advances += 1;
-        // Power/ambient changed since the last advance exactly when both
-        // refresh flags are still set (each advance clears one of them).
-        if self.steady_dirty && self.inject_dirty {
-            self.auto_dirty_advances += 1;
-        }
-        self.auto_choice(self.auto_advances, self.auto_dirty_advances)
     }
 
     /// Advances by `duration` seconds.
@@ -764,9 +706,8 @@ impl RcNetwork {
     /// is exact at any step size under piecewise-constant power).
     /// [`Stepper::Adaptive`] also consumes the duration in one call,
     /// subdividing it under error control with `dt` as the cold-start
-    /// hint; [`Stepper::Auto`] resolves per advance and feeds its churn
-    /// statistics. The explicit steppers take `floor(duration/dt)` full
-    /// sub-steps (the
+    /// hint; [`Stepper::Auto`] resolves to one of the two first. The
+    /// explicit steppers take `floor(duration/dt)` full sub-steps (the
     /// count is computed up front, so `advance(a + b)` performs the same
     /// step sequence as `advance(a); advance(b)` whenever `a` and `b` are
     /// multiples of `dt`), then one final partial step with the remainder
@@ -776,12 +717,12 @@ impl RcNetwork {
             return;
         }
         let stepper = if stepper == Stepper::Auto {
-            self.resolve_auto_advance()
+            self.resolve_auto()
         } else {
             stepper
         };
         if stepper == Stepper::Exact {
-            self.step(duration, stepper);
+            self.step_exact(duration);
             return;
         }
         if let Stepper::Adaptive { rel_tol, abs_tol } = stepper {
@@ -834,21 +775,10 @@ impl RcNetwork {
     /// always factorise successfully (every node is grounded to ambient),
     /// so this never fails.
     pub fn steady_state(&self) -> Result<Vec<f64>, SolveError> {
-        let b: Vec<f64> = self
-            .power
-            .iter()
-            .zip(&self.ambient_conductance)
-            .map(|(p, g)| p + g * self.ambient)
-            .collect();
-        match &self.steady {
-            SteadySolver::Dense(lu) => Ok(lu.solve(&b)),
-            SteadySolver::MatrixFree => {
-                let mut x = vec![0.0; self.len()];
-                let mut cg = CgScratch::with_len(self.len());
-                cg_solve(&self.ode_view(), &b, &mut x, &mut cg, CG_REL_TOL);
-                Ok(x)
-            }
-        }
+        let n = self.len();
+        let mut x = vec![0.0; n];
+        self.solve_steady_into(&self.state[n..], &mut x, &mut CgScratch::with_len(n));
+        Ok(x)
     }
 
     /// Jumps the network straight to its steady state for the current powers.
@@ -861,7 +791,7 @@ impl RcNetwork {
         let t = self
             .steady_state()
             .expect("built networks always have a grounded, non-singular G");
-        self.temperature = t;
+        self.set_temperatures(&t);
     }
 }
 
@@ -985,35 +915,22 @@ mod tests {
         let mut net = two_node();
         net.step(0.1, Stepper::Exact);
         assert_eq!(net.propagator_builds(), 1);
-        assert_eq!(net.steady_refreshes(), 1);
 
-        // Same dt, unchanged powers: both caches hit.
+        // Same dt: the cache hits.
         net.step(0.1, Stepper::Exact);
         assert_eq!(net.propagator_builds(), 1);
-        assert_eq!(net.steady_refreshes(), 1);
 
         // New dt: propagator rebuilt.
         net.step(0.2, Stepper::Exact);
         assert_eq!(net.propagator_builds(), 2);
 
-        // Ambient change: steady state refreshed, propagator untouched.
-        let refreshes = net.steady_refreshes();
+        // Ambient and power changes enter through `u`: no rebuild.
         net.set_ambient(30.0);
         net.step(0.2, Stepper::Exact);
-        assert_eq!(net.propagator_builds(), 2);
-        assert_eq!(net.steady_refreshes(), refreshes + 1);
-
-        // Power change: steady state refreshed again.
         net.set_power(NodeId(0), 5.0);
         net.step(0.2, Stepper::Exact);
-        assert_eq!(net.steady_refreshes(), refreshes + 2);
-
-        // Setting the same power/ambient again is a no-op.
-        net.set_power(NodeId(0), 5.0);
-        net.set_ambient(30.0);
-        net.step(0.2, Stepper::Exact);
-        assert_eq!(net.steady_refreshes(), refreshes + 2);
         assert_eq!(net.propagator_builds(), 2);
+        assert_eq!(net.steady_refreshes(), 0, "stepping never solves");
     }
 
     #[test]
@@ -1032,6 +949,135 @@ mod tests {
         cold.step(1.0, Stepper::Exact);
         for (a, b) in warm.temperatures().iter().zip(cold.temperatures()) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
+        }
+    }
+
+    /// The steady-state form of the exact step, kept as the reference the
+    /// zero-order-hold step is pinned against: every step re-solves
+    /// `A·T_ss = P + g_amb·T_amb` from the network's powers and ambient,
+    /// then applies `T' = T_ss + E·(T − T_ss)` with `E` cached per `dt`.
+    struct SteadyReference {
+        dt: f64,
+        propagator: Matrix,
+        rhs: Vec<f64>,
+        t_ss: Vec<f64>,
+        dev: Vec<f64>,
+        out: Vec<f64>,
+        cg: CgScratch,
+    }
+
+    impl SteadyReference {
+        fn new(n: usize) -> Self {
+            SteadyReference {
+                dt: f64::NAN,
+                propagator: Matrix::zeros(n),
+                rhs: vec![0.0; n],
+                t_ss: vec![0.0; n],
+                dev: vec![0.0; n],
+                out: vec![0.0; n],
+                cg: CgScratch::with_len(n),
+            }
+        }
+
+        fn step(&mut self, net: &mut RcNetwork, dt: f64) {
+            if self.dt != dt {
+                self.dt = dt;
+                self.propagator = net.propagator_matrix(dt);
+            }
+            let n = net.len();
+            for i in 0..n {
+                self.rhs[i] = net.power[i] + net.ambient_conductance[i] * net.ambient;
+            }
+            net.solve_steady_into(&self.rhs, &mut self.t_ss, &mut self.cg);
+            for i in 0..n {
+                self.dev[i] = net.state[i] - self.t_ss[i];
+            }
+            self.propagator.mul_vec_into(&self.dev, &mut self.out);
+            for i in 0..n {
+                net.state[i] = self.t_ss[i] + self.out[i];
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The zero-order-hold step `T' = E·T + F·u` tracks the
+        /// steady-state reference on every node of every step to 1e-11
+        /// relative, over random die shapes (quad, detailed, strips, grids
+        /// up to 64 nodes, big.LITTLE mixes), per-step power churn,
+        /// ambient moves and step-size changes up to the 3 s serve
+        /// sampling interval.
+        #[test]
+        fn zoh_step_matches_steady_state_reference(
+            shape in 0usize..4,
+            w in 1usize..9,
+            h in 1usize..9,
+            big_pick in 0usize..65,
+            seed in proptest::prelude::any::<u64>(),
+            segments in proptest::collection::vec((0usize..5, 1usize..40), 1..5),
+        ) {
+            use crate::floorplan::{DieModel, DieParams, Floorplan, HeteroMix};
+            // Keep every die at or below 64 nodes: grids hold w·h cores
+            // plus spreader and sink, detailed dies two nodes per core.
+            let cap = if shape == 1 { 31 } else { 62 };
+            let h = h.min(cap / w).max(1);
+            let floorplan = match shape {
+                0 => Floorplan::quad(),
+                2 => Floorplan::grid(w, 1),
+                _ => Floorplan::grid(w, h),
+            };
+            let cores = floorplan.num_cores();
+            let big = big_pick % (cores + 1);
+            let params = DieParams {
+                hetero: (big > 0).then(|| HeteroMix::big_little(big)),
+                ..DieParams::default()
+            };
+            let die = if shape == 1 {
+                DieModel::detailed(floorplan, params)
+            } else {
+                DieModel::new(floorplan, params)
+            };
+            let core_nodes = die.core_nodes().to_vec();
+            let mut zoh = die.network().clone();
+            let mut reference = zoh.clone();
+            let mut steady = SteadyReference::new(zoh.len());
+            let mut rng = seed;
+            let mut draw = move || {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 11) as f64 / (1u64 << 53) as f64
+            };
+            for (dt_idx, steps) in segments {
+                let dt = [0.01, 0.07, 0.25, 1.0, 3.0][dt_idx];
+                for step in 0..steps {
+                    for &node in &core_nodes {
+                        let watts = 20.0 * draw();
+                        zoh.set_power(node, watts);
+                        reference.set_power(node, watts);
+                    }
+                    if draw() < 0.1 {
+                        let ambient = 15.0 + 20.0 * draw();
+                        zoh.set_ambient(ambient);
+                        reference.set_ambient(ambient);
+                    }
+                    zoh.step(dt, Stepper::Exact);
+                    steady.step(&mut reference, dt);
+                    for (i, (a, b)) in zoh
+                        .temperatures()
+                        .iter()
+                        .zip(reference.temperatures())
+                        .enumerate()
+                    {
+                        proptest::prop_assert!(
+                            (a - b).abs() <= 1e-11 * b.abs(),
+                            "shape {} {}x{} big {} dt {} step {} node {}: zoh {} vs reference {}",
+                            shape, w, h, big, dt, step, i, a, b
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -1249,28 +1295,40 @@ mod tests {
     }
 
     #[test]
-    fn auto_crossover_tracks_churn_on_midsize_networks() {
-        // 100 nodes: above AUTO_EXACT_MAX_NODES, below DENSE_STEADY_LIMIT.
-        let mut b = RcNetworkBuilder::new(20.0);
-        let nodes: Vec<NodeId> = (0..100).map(|i| b.add_node(format!("n{i}"), 1.0)).collect();
-        for w in nodes.windows(2) {
-            b.connect(w[0], w[1], 1.0);
-        }
-        b.connect_ambient(nodes[0], 2.0);
-        let mut net = b.build().unwrap();
-        net.set_power(nodes[50], 2.0);
-        // Warmup: adaptive until enough history accumulates.
-        assert_eq!(net.resolve_auto(), Stepper::adaptive());
-        for _ in 0..4 {
-            net.advance(0.5, 0.01, Stepper::Auto);
-        }
-        // Quiet workload: the propagator wins.
-        assert_eq!(net.resolve_auto(), Stepper::Exact);
-        // Sustained churn flips it back to adaptive.
+    fn auto_is_a_node_count_rule() {
+        let chain = |len: usize| {
+            let mut b = RcNetworkBuilder::new(20.0);
+            let nodes: Vec<NodeId> = (0..len).map(|i| b.add_node(format!("n{i}"), 1.0)).collect();
+            for w in nodes.windows(2) {
+                b.connect(w[0], w[1], 1.0);
+            }
+            b.connect_ambient(nodes[0], 2.0);
+            (b.build().unwrap(), nodes)
+        };
+        let (mut small, nodes) = chain(RcNetwork::AUTO_EXACT_MAX_NODES);
+        assert_eq!(small.resolve_auto(), Stepper::Exact);
+        // 65 and 100 nodes: dense, but past the Exact cutoff.
+        assert_eq!(
+            chain(RcNetwork::AUTO_EXACT_MAX_NODES + 1).0.resolve_auto(),
+            Stepper::adaptive()
+        );
+        let (mut mid, mid_nodes) = chain(100);
+        assert!(matches!(mid.steady, SteadySolver::Dense(_)));
+        assert_eq!(mid.resolve_auto(), Stepper::adaptive());
+        // Neither quiet nor churning advances move the choice, and an
+        // Auto advance is bit-for-bit the resolved stepper's advance.
         for k in 0..8 {
-            net.set_power(nodes[50], 2.0 + k as f64);
-            net.advance(0.5, 0.01, Stepper::Auto);
+            let mut exact = small.clone();
+            small.set_power(nodes[10], 2.0 + (k % 2) as f64);
+            exact.set_power(nodes[10], 2.0 + (k % 2) as f64);
+            small.advance(0.5, 0.01, Stepper::Auto);
+            exact.advance(0.5, 0.01, Stepper::Exact);
+            assert_eq!(small.temperatures(), exact.temperatures());
+            mid.set_power(mid_nodes[50], 2.0 + k as f64);
+            mid.advance(0.5, 0.01, Stepper::Auto);
         }
-        assert_eq!(net.resolve_auto(), Stepper::adaptive());
+        assert_eq!(small.resolve_auto(), Stepper::Exact);
+        assert_eq!(mid.resolve_auto(), Stepper::adaptive());
+        assert_eq!(mid.propagator_builds(), 0, "adaptive never builds [E | F]");
     }
 }

@@ -5,8 +5,9 @@ use serde::{Deserialize, Serialize};
 /// Integration scheme for [`crate::RcNetwork::step`].
 ///
 /// `Exact` is the default used by the co-simulation: power is piecewise
-/// constant between simulation ticks, so one application of the cached
-/// propagator `E = exp(-C⁻¹G·dt)` advances a full tick with no
+/// constant between simulation ticks, so the zero-order-hold update
+/// `T' = E·T + F·u` (`E = exp(-C⁻¹A·dt)`, `F = (I − E)·A⁻¹`, one product
+/// of the cached block `[E | F]`) advances a full tick with no
 /// discretisation error at any `dt`. Forward Euler and RK4 remain
 /// available for time-varying power *within* a step (where the
 /// piecewise-constant assumption breaks) and as independent references
@@ -16,15 +17,15 @@ use serde::{Deserialize, Serialize};
 /// 5(4) pair with per-node error control and a PI step-size controller
 /// advances via sparse CSR matvecs only (O(nnz) per stage), so dies too
 /// large to densify `expm`/LU still step. `Auto` picks between the two
-/// per advance from node count and power-churn rate.
+/// from the node count.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum Stepper {
     /// First-order explicit Euler: cheap, stable for `dt < max_stable_dt`.
     ForwardEuler,
     /// Classic fourth-order Runge–Kutta.
     Rk4,
-    /// Exact matrix-exponential step (piecewise-constant power), one
-    /// matrix-vector product per step with a propagator cached per `dt`.
+    /// Exact zero-order-hold step (piecewise-constant power), one product
+    /// per step with the `[E | F]` block cached per `dt`.
     #[default]
     Exact,
     /// Embedded adaptive Runge–Kutta (Dormand–Prince 5(4)) with
@@ -36,8 +37,8 @@ pub enum Stepper {
         /// Per-node absolute error tolerance, in °C.
         abs_tol: f64,
     },
-    /// Crossover heuristic: exact propagator on small/quiet dies,
-    /// adaptive-sparse on large or churn-heavy ones, resolved per advance.
+    /// Node-count rule: `Exact` on dense dies of at most 64 nodes,
+    /// `Adaptive` on larger ones (see [`crate::RcNetwork::resolve_auto`]).
     Auto,
 }
 

@@ -163,8 +163,8 @@ proptest! {
     /// A die advanced inside a [`DieBatch`] is bit-identical to the same
     /// die advanced alone, for every stepper, under per-die power and
     /// ambient schedules whose varying epoch lengths force propagator
-    /// rebuilds (Exact re-derives `E` per distinct dt) and dirty-column
-    /// steady refreshes. This is the contract that keeps serve snapshots
+    /// rebuilds (Exact re-derives `[E | F]` per distinct dt). This is the
+    /// contract that keeps serve snapshots
     /// and campaign checkpoints byte-identical when dies route through
     /// the batched path.
     #[test]

@@ -60,8 +60,8 @@ fn steady_state_stepping_does_not_allocate() {
         for c in 0..4 {
             die.set_core_power(c, 10.0);
         }
-        // Warm-up: the exact stepper may build its propagator/steady-state
-        // cache here; the explicit steppers are already fully preallocated.
+        // Warm-up: the exact stepper may build its [E | F] cache here; the
+        // explicit steppers are already fully preallocated.
         die.advance(1.0);
 
         let n = allocs_during(|| {
@@ -71,9 +71,9 @@ fn steady_state_stepping_does_not_allocate() {
         });
         assert_eq!(n, 0, "{stepper}: steady stepping must not allocate");
 
-        // The engine's real usage: powers change every tick. For Exact this
-        // re-solves the steady state against the cached LU factorisation,
-        // which must also be allocation-free.
+        // The engine's real usage: powers change every tick. For Exact the
+        // new powers enter through u and the cached [E | F] block, which
+        // must also be allocation-free.
         let n = allocs_during(|| {
             for i in 0..100u64 {
                 for c in 0..4 {
@@ -109,9 +109,8 @@ fn steady_state_stepping_does_not_allocate() {
                 batch.set_core_power(die, c, 10.0);
             }
         }
-        // Warm-up builds the shared propagator and refreshes every
-        // steady-state column; after that the batch path owns all its
-        // scratch.
+        // Warm-up builds the shared [E | F] block; after that the batch
+        // path owns all its scratch.
         batch.advance(1.0);
 
         let n = allocs_during(|| {
@@ -121,8 +120,8 @@ fn steady_state_stepping_does_not_allocate() {
         });
         assert_eq!(n, 0, "{stepper}: steady batch stepping must not allocate");
 
-        // Per-die power churn between ticks: each touched column is
-        // refreshed against the shared LU, still allocation-free.
+        // Per-die power churn between ticks: each touched die's u column
+        // is rewritten in place, still allocation-free.
         let n = allocs_during(|| {
             for i in 0..100u64 {
                 for die in 0..batch.width() {
