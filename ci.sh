@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, -D warnings: no broken or private doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo build (telemetry compiled out) =="
 cargo build -q -p thermorl-bench --no-default-features
 cargo build -q -p thermorl-dispatch --no-default-features

@@ -21,13 +21,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use thermorl_platform::GovernorKind;
 use thermorl_sim::{Actuation, Observation, ThermalController};
 
 /// Tunables of the Ge & Qiu controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeConfig {
     /// Seconds between samples (= decisions; the technique has no epoch).
     pub sampling_interval: f64,

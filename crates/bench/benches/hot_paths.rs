@@ -36,7 +36,7 @@ fn bench_thermal(c: &mut Criterion) {
         });
     });
     // Each stepper explicitly, for before/after comparisons.
-    for stepper in [Stepper::ForwardEuler, Stepper::Rk4, Stepper::Exact] {
+    for stepper in [Stepper::Exact, Stepper::adaptive()] {
         group.bench_function(format!("die_advance_1s_{stepper}"), |b| {
             let mut die = DieModel::new(
                 Floorplan::quad(),

@@ -1,6 +1,6 @@
 //! Thermal-solver performance snapshot: measures the `die_advance_1s` hot
-//! path per stepper (with allocation counts) and end-to-end scenario
-//! throughput, and writes the numbers to `BENCH_thermal.json`.
+//! path of the default stepper (with allocation counts) and end-to-end
+//! scenario throughput, and writes the numbers to `BENCH_thermal.json`.
 //!
 //! Flags:
 //! * `--quick` — fewer iterations (CI mode; same JSON shape).
@@ -32,7 +32,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use thermorl_runner::{default_workers, par_for_each_mut};
 use thermorl_sim::json::Value;
 use thermorl_sim::{run_scenario, NullController, SimConfig};
 use thermorl_telemetry as tel;
@@ -84,24 +83,19 @@ fn median_ns_per_iter(mut f: impl FnMut(), iters: u32, reps: u32) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn quad_die(stepper: Stepper) -> DieModel {
-    let mut die = DieModel::new(
-        Floorplan::quad(),
-        DieParams {
-            stepper,
-            ..DieParams::default()
-        },
-    );
+fn quad_die() -> DieModel {
+    let mut die = DieModel::quad_core();
     for core in 0..4 {
         die.set_core_power(core, 12.0);
     }
     die
 }
 
-/// Measures one stepper's `advance(1.0)` cost and its per-advance heap
-/// allocation count in steady state (after a cache-warming advance).
-fn measure_stepper(stepper: Stepper, iters: u32, reps: u32) -> (f64, u64) {
-    let mut die = quad_die(stepper);
+/// Measures the default stepper's `advance(1.0)` cost and its
+/// per-advance heap allocation count in steady state (after a
+/// cache-warming advance).
+fn measure_die_advance(iters: u32, reps: u32) -> (f64, u64) {
+    let mut die = quad_die();
     die.advance(1.0); // warm caches; Exact builds its propagator here
 
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -158,7 +152,7 @@ fn measure_tick_churn(floorplan: Floorplan, iters: u32, reps: u32) -> (f64, u64,
 /// A warmed-up [`DieBatch`] of `width` quad-core dies with per-die power
 /// profiles, ready for steady-state advance timing.
 fn quad_fleet(width: usize) -> DieBatch {
-    let proto = quad_die(Stepper::default());
+    let proto = quad_die();
     let mut batch = DieBatch::new(&proto, width);
     for die in 0..width {
         for core in 0..4 {
@@ -193,29 +187,6 @@ fn measure_batch(width: usize, iters: u32, reps: u32) -> (f64, u64) {
         reps,
     );
     (ns, allocs / 100)
-}
-
-/// Aggregate die-advances/sec across `batches` independent [`DieBatch`]es
-/// of `width` dies advanced concurrently via the runner pool's
-/// `par_for_each_mut` (one chunk of batches per worker thread).
-fn measure_parallel_fleet(batches: usize, width: usize, iters: u32, reps: u32) -> f64 {
-    // Each parallel call spawns a scoped thread per worker; stack several
-    // fleet advances inside one call so the spawn cost is amortized the
-    // way a real campaign (many epochs per dispatch) amortizes it.
-    const ADVANCES_PER_CALL: u32 = 32;
-    let mut fleet: Vec<DieBatch> = (0..batches).map(|_| quad_fleet(width)).collect();
-    let ns = median_ns_per_iter(
-        || {
-            par_for_each_mut(&mut fleet, |batch| {
-                for _ in 0..ADVANCES_PER_CALL {
-                    batch.advance(1.0);
-                }
-            });
-        },
-        iters,
-        reps,
-    );
-    (batches * width) as f64 * f64::from(ADVANCES_PER_CALL) / ns * 1e9
 }
 
 /// One `large` sweep cell: an N×N grid die stepped by the adaptive
@@ -472,24 +443,16 @@ fn main() {
     );
     doc.set("baseline", baseline);
 
+    let stepper = Stepper::default();
+    let (default_ns, allocs) = measure_die_advance(iters, reps);
+    println!("die_advance_1s [{stepper}]: {default_ns:.0} ns/iter, {allocs} allocs/advance");
+    let mut entry = Value::object();
+    entry.set("die_advance_1s_ns", Value::num(default_ns));
+    entry.set("allocs_per_advance", Value::UInt(allocs));
     let mut steppers = Value::object();
-    let mut default_ns = f64::NAN;
-    for stepper in [Stepper::ForwardEuler, Stepper::Rk4, Stepper::Exact] {
-        let (ns, allocs) = measure_stepper(stepper, iters, reps);
-        println!("die_advance_1s [{stepper}]: {ns:.0} ns/iter, {allocs} allocs/advance");
-        let mut entry = Value::object();
-        entry.set("die_advance_1s_ns", Value::num(ns));
-        entry.set("allocs_per_advance", Value::UInt(allocs));
-        steppers.set(&stepper.to_string(), entry);
-        if stepper == Stepper::default() {
-            default_ns = ns;
-        }
-    }
+    steppers.set(&stepper.to_string(), entry);
     doc.set("steppers", steppers);
-    doc.set(
-        "default_stepper",
-        Value::Str(Stepper::default().to_string()),
-    );
+    doc.set("default_stepper", Value::Str(stepper.to_string()));
     doc.set("die_advance_1s_ns", Value::num(default_ns));
     let speedup = SEED_BASELINE_DIE_ADVANCE_1S_NS / default_ns;
     doc.set("speedup_vs_baseline", Value::num(speedup));
@@ -587,22 +550,6 @@ fn main() {
     batch_doc.set("widths", widths);
     batch_doc.set("die_advances_per_sec_n512", Value::num(n512_rate));
 
-    let workers = default_workers();
-    let par_rate = measure_parallel_fleet(
-        workers,
-        512,
-        if quick { 20 } else { 60 },
-        if quick { 3 } else { 5 },
-    );
-    println!(
-        "parallel fleet [{workers} batches x 512 dies via par_for_each_mut]: \
-         {par_rate:.3e} die-advances/s"
-    );
-    let mut par = Value::object();
-    par.set("batches", Value::UInt(workers as u64));
-    par.set("width", Value::UInt(512));
-    par.set("die_advances_per_sec", Value::num(par_rate));
-    batch_doc.set("parallel_fleet", par);
     doc.set("batch", batch_doc);
 
     // Large-floorplan fast path: N×N grids under the adaptive stepper,

@@ -735,7 +735,7 @@ fn figure8_config(n_states: usize, n_actions: usize) -> ControlConfig {
 }
 
 /// Pushes Figure 8: convergence and MTTF versus state/action space sizes
-/// on mpeg_dec, with [`FIGURE8_REPS`] differently-seeded repetitions per
+/// on mpeg_dec, with `FIGURE8_REPS` differently-seeded repetitions per
 /// size pair (the runner derives a distinct seed per repetition key).
 pub fn figure8_jobs(campaign: &mut Campaign<CellOutcome>) {
     let app = alpbench::mpeg_dec(DataSet::One);

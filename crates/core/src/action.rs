@@ -6,13 +6,11 @@
 //! the alternatives are explored. Similarly, three frequency levels are
 //! selected for the userspace CPU governor."
 
-use serde::{Deserialize, Serialize};
-
 use thermorl_platform::{assignment_presets, CoreClass, GovernorKind, OppTable, ThreadAssignment};
 
 /// One joint action: a thread assignment plus a governor for all cores
 /// (optionally refined per core on heterogeneous machines).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Action {
     /// Thread-to-core assignment (`M` component).
     pub assignment: ThreadAssignment,
@@ -57,7 +55,7 @@ impl Action {
 /// assert!(space.len() >= 8);
 /// assert!(space.iter().all(|a| a.assignment.len() == 6));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActionSpace {
     actions: Vec<Action>,
 }

@@ -265,7 +265,7 @@ impl DasDac14Controller {
         }
     }
 
-    /// Serializes every mutable field of a started agent, so that
+    /// Encodes every mutable field of a started agent, so that
     /// [`DasDac14Controller::restore`] under the same configuration
     /// continues the decision stream bit-identically. Returns `None`
     /// before `on_start` (there is nothing to resume yet).

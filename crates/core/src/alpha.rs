@@ -6,10 +6,8 @@
 //! (greedy actions, partial updates), exploitation (greedy actions,
 //! negligible updates).
 
-use serde::{Deserialize, Serialize};
-
 /// Which phase the agent is in, derived from the current α.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LearningPhase {
     /// α above the exploration threshold: pick actions arbitrarily.
     Exploration,
@@ -33,7 +31,7 @@ pub enum LearningPhase {
 /// }
 /// assert_eq!(a.phase(), LearningPhase::Exploitation);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaSchedule {
     alpha: f64,
     /// Multiplicative decay applied by `UpdateLearningRate` each epoch.

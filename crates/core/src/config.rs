@@ -1,7 +1,5 @@
 //! Configuration of the proposed controller.
 
-use serde::{Deserialize, Serialize};
-
 use thermorl_platform::OppTable;
 use thermorl_reliability::ReliabilityAnalyzer;
 
@@ -16,7 +14,7 @@ use crate::state::StateSpace;
 /// trade-off point), a 10-sample (30 s) decision epoch (the Figure 7
 /// trade-off region), a 4×4 state space and the restricted ~13-action
 /// space of §5.1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ControlConfig {
     /// Temperature sampling interval in seconds (decoupled from the
     /// decision epoch — the paper's second contribution).

@@ -18,10 +18,8 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 /// Classification of a workload change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadChange {
     /// Below both lower thresholds: steady workload.
     None,
@@ -46,7 +44,7 @@ pub enum WorkloadChange {
 /// // A big jump in stress: inter-application switch.
 /// assert_eq!(d.observe(15.0, 1.0), WorkloadChange::Inter);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MovingAverageDetector {
     window: usize,
     stress_lower: f64,

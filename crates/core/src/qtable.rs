@@ -2,8 +2,6 @@
 
 use std::io::{self, BufRead, Write};
 
-use serde::{Deserialize, Serialize};
-
 use crate::state::StateId;
 
 /// A dense `states × actions` Q-value table.
@@ -22,7 +20,7 @@ use crate::state::StateId;
 /// q.update(StateId(0), 1, 5.0, 1.0, 0.9, StateId(2));
 /// assert_eq!(q.best_action(StateId(0)).0, 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTable {
     num_states: usize,
     num_actions: usize,

@@ -13,12 +13,10 @@
 //! switched between two preset pairs depending on whether the window's
 //! mean stress or mean aging dominates (mpeg-like vs tachyon-like).
 
-use serde::{Deserialize, Serialize};
-
 use crate::state::{StateId, StateSpace};
 
 /// Parameters of the reward function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardFunction {
     /// Gaussian centre of `K₁` as a fraction of the stress range.
     pub k1_center_frac: f64,

@@ -12,10 +12,8 @@
 //! disjoint intervals; the *last* interval is the paper's "unsafe zone"
 //! that triggers the penalty branch of the reward function.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense identifier of one (stress-bin, aging-bin) state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StateId(pub usize);
 
 impl StateId {
@@ -40,7 +38,7 @@ impl StateId {
 /// assert!(space.is_unsafe(burning));
 /// assert!(!space.is_unsafe(calm));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateSpace {
     ns: usize,
     na: usize,

@@ -8,8 +8,6 @@
 //! (§5.1 notes the full space grows exponentially, so "only a few of the
 //! alternatives are explored").
 
-use serde::{Deserialize, Serialize};
-
 /// A bitmask of allowed cores for one thread, like Linux's `cpu_set_t`.
 ///
 /// # Example
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.count(), 2);
 /// assert_eq!(format!("{m:b}"), "101");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AffinityMask(u64);
 
 impl AffinityMask {
@@ -143,7 +141,7 @@ impl std::ops::BitOr for AffinityMask {
 
 /// A complete thread-to-core assignment: one mask per thread, in thread
 /// order. This is the unit the learning agent's "mapping" actions select.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ThreadAssignment {
     /// Human-readable pattern name, e.g. `"pack[2,2,1,1]"`.
     pub name: String,

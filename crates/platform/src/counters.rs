@@ -13,10 +13,8 @@
 //! * every controller *sensor sample* and *decision* costs a fixed burst —
 //!   which is why both counters fall as the sampling interval grows.
 
-use serde::{Deserialize, Serialize};
-
 /// Counter cost coefficients.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CounterParams {
     /// Instructions per cycle of the modelled cores.
     pub ipc: f64,
@@ -56,7 +54,7 @@ impl Default for CounterParams {
 }
 
 /// Monotonically increasing counter values, like reading `perf stat`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CounterSnapshot {
     /// Retired instructions.
     pub instructions: f64,
@@ -81,7 +79,7 @@ impl CounterSnapshot {
 }
 
 /// The counter model: feed it execution and overhead events.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CounterModel {
     params: CounterParams,
     totals: CounterSnapshot,

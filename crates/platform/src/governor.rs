@@ -15,12 +15,10 @@
 //!   extension beyond the paper's 2014 platform: frequency proportional to
 //!   utilisation with a 25 % headroom factor.
 
-use serde::{Deserialize, Serialize};
-
 use crate::opp::OppTable;
 
 /// Which cpufreq governor drives a core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GovernorKind {
     /// Kernel default on the paper's platform: aggressive ramp-up.
     Ondemand,
@@ -51,7 +49,7 @@ impl std::fmt::Display for GovernorKind {
 }
 
 /// Tunables shared by the dynamic governors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GovernorTunables {
     /// Utilisation evaluation period in seconds (kernel sampling rate).
     pub sampling_period: f64,
@@ -85,7 +83,7 @@ impl Default for GovernorTunables {
 /// let change = gov.observe(0.1, 1.0, &table);
 /// assert_eq!(change, Some(table.max_index()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GovernorState {
     kind: GovernorKind,
     tunables: GovernorTunables,

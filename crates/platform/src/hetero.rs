@@ -7,10 +7,8 @@
 //! power, so thread placement gains a new lifetime lever (hot threads can
 //! be parked on slow-cool cores).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-core performance/power scaling relative to the OPP table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreClass {
     /// Class label, e.g. `"big"` / `"little"`.
     pub name: String,

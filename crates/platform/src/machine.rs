@@ -1,7 +1,5 @@
 //! The assembled machine: cores + governors + scheduler + power + counters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::affinity::{AffinityMask, ThreadAssignment};
 use crate::counters::{CounterModel, CounterParams, CounterSnapshot};
 use crate::governor::{GovernorKind, GovernorState, GovernorTunables};
@@ -11,7 +9,7 @@ use crate::power::{EnergyMeter, PowerModel};
 use crate::scheduler::{reset, Scheduler, SchedulerConfig, ThreadDemand, ThreadId};
 
 /// Configuration of a [`Machine`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// DVFS table shared by all cores.
     pub opp_table: OppTable,

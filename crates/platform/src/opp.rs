@@ -1,9 +1,7 @@
 //! DVFS operating performance points (frequency/voltage pairs).
 
-use serde::{Deserialize, Serialize};
-
 /// One DVFS operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Clock frequency in GHz.
     pub freq_ghz: f64,
@@ -32,7 +30,7 @@ impl std::fmt::Display for OperatingPoint {
 /// assert!(t.get(t.max_index()).freq_ghz > t.get(0).freq_ghz);
 /// assert_eq!(t.index_of_freq(2.4), Some(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OppTable {
     points: Vec<OperatingPoint>,
 }

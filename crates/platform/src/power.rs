@@ -8,8 +8,6 @@
 //! components per core, playing the role of `likwid-powermeter` in the
 //! paper's measurement setup.
 
-use serde::{Deserialize, Serialize};
-
 use crate::opp::OperatingPoint;
 
 /// Calibrated power model of one core.
@@ -18,7 +16,7 @@ use crate::opp::OperatingPoint;
 /// dynamic (≈ 72 W die total, in line with desktop quad-cores of the
 /// paper's era and the ≈ 30 W *average* dynamic powers of Figure 9) and a
 /// hot core leaks ≈ 3 W.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Effective switched capacitance coefficient (W / (GHz · V²)).
     pub c_eff: f64,
@@ -66,7 +64,7 @@ impl PowerModel {
 /// Integrates per-core dynamic and static energy over a run, exposing the
 /// same dynamic-power / dynamic-energy numbers the paper's Figure 9 plots
 /// and the leakage-energy estimate of §6.5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyMeter {
     dynamic_j: Vec<f64>,
     static_j: Vec<f64>,

@@ -10,7 +10,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::affinity::AffinityMask;
 
@@ -26,7 +25,7 @@ impl ThreadId {
 }
 
 /// Scheduler tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Number of cores.
     pub num_cores: usize,
@@ -55,7 +54,7 @@ impl Default for SchedulerConfig {
 }
 
 /// Per-tick execution demand of one thread, provided by the workload model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadDemand {
     /// Whether the thread wants CPU this tick (false = blocked on a
     /// barrier/serial section).

@@ -111,7 +111,7 @@ pub trait Policy: Send {
     /// Telemetry of the most recent decision epoch.
     fn last_decision(&self) -> Option<DecisionRecord>;
 
-    /// Serializes every mutable field of a started policy (`None` before
+    /// Encodes every mutable field of a started policy (`None` before
     /// `on_start`).
     fn snapshot(&self) -> Option<Value>;
 

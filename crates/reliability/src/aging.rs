@@ -20,15 +20,13 @@
 //! mechanism-specific activation energies, TDDB with its
 //! temperature-dependent exponent, plus a sum-of-failure-rates combinator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gamma::weibull_mean;
 use crate::profile::ThermalProfile;
 use crate::{kelvin, BOLTZMANN_EV};
 
 /// A wear-out mechanism's fault-density model: characteristic lifetime
 /// `α(T)` in years as a function of steady temperature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultMechanism {
     /// Electromigration: `α ∝ e^{E_a/(kT)}` (Black's equation with the
     /// current-density factor folded into the calibration constant).
@@ -113,7 +111,7 @@ impl FaultMechanism {
 
 /// Aging model: a fault mechanism calibrated so that an idle core lasts a
 /// prescribed number of years, plus the Weibull slope β of Eq. 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgingModel {
     mechanism: FaultMechanism,
     /// Weibull slope β of the lifetime distribution.

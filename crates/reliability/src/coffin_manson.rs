@@ -7,8 +7,6 @@
 //! Larger swings and hotter cycle peaks both reduce the number of cycles a
 //! core survives.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rainflow::Cycle;
 use crate::{kelvin, BOLTZMANN_EV, SECONDS_PER_YEAR};
 
@@ -18,7 +16,7 @@ use crate::{kelvin, BOLTZMANN_EV, SECONDS_PER_YEAR};
 /// scales it so an unstressed core reaches a 10-year MTTF. Use
 /// [`CyclingParams::calibrated`] to reproduce that scaling against a
 /// reference cycling regime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CyclingParams {
     /// Empirical proportionality constant `A_TC`.
     pub a_tc: f64,
@@ -44,7 +42,7 @@ impl Default for CyclingParams {
 }
 
 /// The reference cycling regime used to pin down `A_TC`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReferenceRegime {
     /// Swing of the reference cycle (°C).
     pub range: f64,

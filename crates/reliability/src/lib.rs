@@ -39,7 +39,6 @@ pub mod aging;
 pub mod coffin_manson;
 pub mod gamma;
 pub mod miner;
-pub mod online;
 pub mod profile;
 pub mod rainflow;
 pub mod report;
@@ -47,7 +46,6 @@ pub mod stress;
 
 pub use aging::{AgingModel, FaultMechanism};
 pub use coffin_manson::CyclingParams;
-pub use online::{OnlineAnalyzer, OnlineStats};
 pub use profile::ThermalProfile;
 pub use rainflow::{Cycle, RainflowCounter};
 pub use report::{ReliabilityAnalyzer, ReliabilityReport};

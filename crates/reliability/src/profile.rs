@@ -1,7 +1,5 @@
 //! Thermal profiles: uniformly sampled temperature traces.
 
-use serde::{Deserialize, Serialize};
-
 /// A uniformly sampled temperature trace of one core, the input to every
 /// reliability computation.
 ///
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.duration(), 6.0);
 /// assert!((p.average() - 42.333).abs() < 1e-2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ThermalProfile {
     dt: f64,
     samples: Vec<f64>,

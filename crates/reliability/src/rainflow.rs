@@ -12,12 +12,10 @@
 //!   *repeating* histories: the trace is rotated to begin at its absolute
 //!   maximum, after which (almost) every extracted cycle is a full cycle.
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::ThermalProfile;
 
 /// One counted thermal cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cycle {
     /// Temperature swing δT of the cycle (°C), always ≥ 0.
     pub range: f64,
@@ -54,7 +52,7 @@ struct Reversal {
 /// let total: f64 = cycles.iter().map(|c| c.count).sum();
 /// assert!((total - 3.0).abs() < 1e-9); // three 20-degree swings
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RainflowCounter {
     /// Reversals smaller than this range are treated as noise and merged
     /// away (hysteresis filtering). With 1 °C-quantised sensors the default

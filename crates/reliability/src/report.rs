@@ -1,7 +1,5 @@
 //! One-stop reliability analysis of a thermal profile.
 
-use serde::{Deserialize, Serialize};
-
 use crate::aging::{sofr_mttf_years, AgingModel};
 use crate::coffin_manson::CyclingParams;
 use crate::miner;
@@ -25,7 +23,7 @@ use crate::stress::stress_of_cycles;
 /// assert!(report.avg_temp_c > 40.0 && report.avg_temp_c < 50.0);
 /// assert!(report.mttf_aging_years < 10.0); // hotter than the idle reference
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReliabilityAnalyzer {
     /// The aging (average-temperature) model, Eq. 1–2.
     pub aging: AgingModel,
@@ -36,7 +34,7 @@ pub struct ReliabilityAnalyzer {
 }
 
 /// Everything the paper reports about one core's thermal profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityReport {
     /// Average temperature (°C) — Table 2 columns 3–5.
     pub avg_temp_c: f64,
@@ -124,7 +122,7 @@ impl ReliabilityAnalyzer {
 }
 
 /// System-level reliability: the limiting core determines lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemSummary {
     /// Mean of per-core average temperatures (°C).
     pub avg_temp_c: f64,

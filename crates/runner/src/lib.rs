@@ -43,6 +43,6 @@ pub use campaign::{
 };
 pub use checkpoint::{merge as merge_checkpoints, parse_line, record_line, Codec};
 pub use job::{Job, JobOutcome, JobRecord};
-pub use pool::{default_workers, par_for_each_mut, par_map, run_jobs, PoolConfig};
+pub use pool::{default_workers, par_map, run_jobs, PoolConfig};
 pub use progress::CampaignStats;
 pub use seed::{job_seed, shard_of};

@@ -279,35 +279,6 @@ where
     results.into_iter().map(|(_, r)| r).collect()
 }
 
-/// In-place parallel sweep over a mutable slice: items are split into
-/// contiguous `chunks_mut` (one per worker, remainder spread over the
-/// leading chunks) and each worker mutates its chunk in place — no queue,
-/// no per-item locking, no moves. This is the batch-advance path: a fleet
-/// of `NetworkBatch`/`DieBatch` shards steps concurrently, each shard
-/// advancing its dies with one GEMM.
-///
-/// Panics in `f` propagate to the caller when the scope joins.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    if items.is_empty() {
-        return;
-    }
-    let n_workers = default_workers().min(items.len());
-    let chunk = items.len().div_ceil(n_workers);
-    std::thread::scope(|scope| {
-        for part in items.chunks_mut(chunk) {
-            scope.spawn(|| {
-                for item in part {
-                    f(item);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,24 +372,5 @@ mod tests {
     fn par_map_supports_empty_input() {
         let out: Vec<i32> = par_map(Vec::<i32>::new(), |x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn par_for_each_mut_touches_every_item_in_place() {
-        let mut items: Vec<u64> = (0..257).collect();
-        par_for_each_mut(&mut items, |x| *x = *x * 2 + 1);
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(*v, i as u64 * 2 + 1);
-        }
-    }
-
-    #[test]
-    fn par_for_each_mut_handles_empty_and_short_slices() {
-        let mut empty: Vec<u64> = Vec::new();
-        par_for_each_mut(&mut empty, |_| unreachable!());
-        // Fewer items than workers: every item still visited exactly once.
-        let mut short = vec![0u8; 3];
-        par_for_each_mut(&mut short, |x| *x += 1);
-        assert_eq!(short, vec![1, 1, 1]);
     }
 }

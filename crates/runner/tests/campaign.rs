@@ -264,3 +264,36 @@ fn scenario_grid_runs_real_simulations_deterministically() {
     assert!(serial.iter().all(|(_, _, o)| o.is_completed()));
     assert_eq!(serial, run(2), "real-sim grid identical across workers");
 }
+
+#[test]
+fn torn_checkpoint_record_is_an_error_at_every_length() {
+    use thermorl_runner::{parse_line, record_line, run_outcome_codec, scenario_grid, PolicySpec};
+    use thermorl_sim::{NullController, SimConfig};
+    use thermorl_workload::{alpbench, DataSet, Scenario};
+
+    // A real campaign record: one short simulated run, encoded as the
+    // checkpoint line a resume reads back.
+    let scenarios = vec![Scenario::single(alpbench::tachyon(DataSet::One))];
+    let policies = vec![PolicySpec::new("null", |_| {
+        Box::new(NullController::default())
+    })];
+    let sim = SimConfig {
+        max_sim_time: 15.0,
+        ..SimConfig::default()
+    };
+    let report = scenario_grid("torn", 5, &scenarios, &policies, 1, &sim).run(&RunnerConfig {
+        workers: 1,
+        progress: false,
+        ..RunnerConfig::default()
+    });
+    let codec = run_outcome_codec();
+    let line = record_line(&report.records[0], &codec);
+    assert!(parse_line(&line, &codec).is_ok());
+    // A crash mid-write leaves any prefix as the final line: each one is
+    // an error for both the JSON parser and the checkpoint reader.
+    for cut in (0..line.len()).filter(|&k| line.is_char_boundary(k)) {
+        let torn = &line[..cut];
+        assert!(Value::parse(torn).is_err(), "prefix of {cut} bytes parsed");
+        assert!(parse_line(torn, &codec).is_err());
+    }
+}

@@ -330,7 +330,7 @@ impl Session {
         self.epoch_samples > 0 && self.seq > 0 && self.seq.is_multiple_of(self.epoch_samples as u64)
     }
 
-    /// Serializes the full mutable state as a JSON object. The `policy`
+    /// Encodes the full mutable state as a JSON object. The `policy`
     /// and `cores` fields round-trip the zoo member through recovery;
     /// snapshots written before the policy zoo carry neither and restore
     /// as the paper agent.

@@ -44,7 +44,7 @@ proptest! {
         let mut donor = Session::new("prop-die", CORES, CORES, mode, policy_id, seed, cfg);
         drive(&mut donor, 1, warm, scale);
 
-        // Serialize through the wire/store JSON format and restore.
+        // Encode through the wire/store JSON format and restore.
         let line = donor.snapshot_line();
         let parsed = Value::parse(&line).expect("snapshot line parses");
         let mut twin =
@@ -66,6 +66,30 @@ proptest! {
         prop_assert_eq!(
             donor.snapshot_value().to_json(),
             twin.snapshot_value().to_json()
+        );
+    }
+}
+
+/// A crash mid-append leaves a prefix of a snapshot line as the store's
+/// final line. Every prefix of a real one is a parse error, never a panic.
+#[test]
+fn torn_snapshot_line_is_an_error_at_every_length() {
+    let mut session = Session::new(
+        "torn-die",
+        CORES,
+        CORES,
+        SessionMode::Power,
+        PolicyId::DasDac14,
+        7,
+        ControlConfig::default(),
+    );
+    drive(&mut session, 1, 60, 5.0);
+    let line = session.snapshot_line();
+    assert!(Value::parse(&line).is_ok());
+    for cut in (0..line.len()).filter(|&k| line.is_char_boundary(k)) {
+        assert!(
+            Value::parse(&line[..cut]).is_err(),
+            "prefix of {cut} bytes parsed"
         );
     }
 }

@@ -8,10 +8,8 @@
 //! controller's intra-application adaptation path with an environmental
 //! (rather than workload) disturbance.
 
-use serde::{Deserialize, Serialize};
-
 /// How the ambient temperature evolves during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AmbientProfile {
     /// Fixed ambient (°C) — the default lab condition.
     Constant(f64),

@@ -1,7 +1,5 @@
 //! The simulation loop.
 
-use serde::{Deserialize, Serialize};
-
 use thermorl_platform::{AffinityMask, Machine, MachineConfig, ThreadDemand};
 use thermorl_reliability::ThermalProfile;
 use thermorl_telemetry as tel;
@@ -14,7 +12,7 @@ use crate::metrics::{AppResult, RunOutcome};
 use crate::trace::TraceRecorder;
 
 /// Configuration of a simulated run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Platform (cores, governors, power, scheduler, counters).
     pub machine: MachineConfig,

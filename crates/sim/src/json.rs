@@ -209,11 +209,15 @@ impl Value {
         }
     }
 
-    /// Parses one JSON document (trailing whitespace allowed).
+    /// Parses one JSON document (trailing whitespace allowed). Arrays and
+    /// objects nested more than 128 deep are an error, so no input can
+    /// exhaust the parsing thread's stack.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -241,9 +245,19 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, and every document this workspace writes
+/// nests fewer than ten levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes; `pos` indexes both and always sits on a char
+    /// boundary between tokens.
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -290,8 +304,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => err(format!("unexpected {:?} at byte {}", other, self.pos)),
         }
@@ -352,52 +380,42 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| JsonError("truncated \\u escape".into()))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| JsonError("bad \\u escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError("bad \\u escape".into()))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| JsonError("bad \\u code point".into()))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError("invalid utf-8".into()))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the unescaped run up to the next quote or backslash in
+            // one piece. Both are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| JsonError("unterminated string".into()))?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1; // the backslash
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let c = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .and_then(char::from_u32)
+                        .ok_or_else(|| JsonError(format!("bad \\u escape at byte {}", self.pos)))?;
+                    out.push(c);
+                    self.pos += 4;
+                }
+                other => return err(format!("bad escape {other:?}")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -417,8 +435,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError("invalid number".into()))?;
+        let text = &self.text[start..self.pos];
         if !is_float && !text.starts_with('-') {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));
@@ -627,9 +644,9 @@ fn hetero_from_json(v: &Value) -> Result<HeteroMix, JsonError> {
 
 /// Encodes [`DieParams`] as a JSON [`Value`] — the thermal-package half of
 /// an experiment config. The stepper is stored under its
-/// [`std::fmt::Display`] name (`"exact"`, `"rk4"`, `"forward-euler"`,
-/// `"adaptive:REL:ABS"`, `"auto"`); a heterogeneous big.LITTLE mix, when
-/// present, is stored as a nested `hetero` object.
+/// [`std::fmt::Display`] name (`"exact"`, `"adaptive:REL:ABS"`, `"auto"`);
+/// a heterogeneous big.LITTLE mix, when present, is stored as a nested
+/// `hetero` object.
 pub fn die_params_to_json(p: &DieParams) -> Value {
     let mut v = Value::object();
     v.set("core_capacitance", Value::num(p.core_capacitance));
@@ -714,10 +731,19 @@ mod tests {
 
     #[test]
     fn strings_escape_and_unescape() {
-        let s = "line\n\"quoted\"\tunicode: \u{1F600} \\ done";
-        let v = Value::Str(s.to_string());
-        let parsed = Value::parse(&v.to_json()).expect("parse");
-        assert_eq!(parsed.as_str(), Some(s));
+        for s in [
+            "line\n\"quoted\"\tunicode: \u{1F600} \\ done",
+            "é\"ü\\\u{1}ß\n€",
+            "\u{1F600}\u{1f}\u{1F600}\\\"\u{7f}",
+            "\t\u{0}\u{2028}ÿ\r",
+        ] {
+            let parsed = Value::parse(&Value::Str(s.into()).to_json()).expect("parse");
+            assert_eq!(parsed.as_str(), Some(s));
+        }
+        // Hand-written `\u00XX` escapes butting against multi-byte chars.
+        let text = "\"é\\u00e9é\\u0041\u{1F600}\\u00FF\\\"\u{1F600}\\u000a\"";
+        let parsed = Value::parse(text).expect("parse");
+        assert_eq!(parsed.as_str(), Some("éééA\u{1F600}ÿ\"\u{1F600}\n"));
     }
 
     #[test]
@@ -726,6 +752,134 @@ mod tests {
         assert!(Value::parse("{").is_err());
         assert!(Value::parse("[1,").is_err());
         assert!(Value::parse("\"unterminated").is_err());
+        for bad in [
+            "\"\\u00\"",
+            "\"\\u+041\"",
+            "\"\\u00é\"",
+            "\"\\ud800\"",
+            "\"\\x\"",
+        ] {
+            assert!(Value::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A spawned thread gets the default 2 MiB stack, which one level of
+        // recursion per bracket would overflow, aborting the process.
+        for bomb in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let parsed = std::thread::spawn(move || Value::parse(&bomb))
+                .join()
+                .expect("parser thread must not panic");
+            assert!(parsed.is_err());
+        }
+    }
+
+    #[test]
+    fn nesting_exactly_at_the_limit_parses() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Objects count toward the same limit: `k` wrappers around `{}`.
+        let objects = |k: usize| format!("{}{{}}{}", "{\"a\":".repeat(k), "}".repeat(k));
+        assert!(Value::parse(&objects(MAX_DEPTH - 1)).is_ok());
+        assert!(Value::parse(&objects(MAX_DEPTH)).is_err());
+    }
+
+    #[test]
+    fn bracket_bombs_are_errors() {
+        for unit in [
+            "[", "{", "]", "}", "[{", "{\"\":[", "[1,", "{\"a\":{", "\"\\", "[\"",
+        ] {
+            for n in [1, 2, MAX_DEPTH, MAX_DEPTH + 1, 10_000] {
+                let text = unit.repeat(n);
+                assert!(Value::parse(&text).is_err(), "{unit:?} x {n}");
+            }
+        }
+    }
+
+    /// The characters JSON's grammar turns on, the letters of its
+    /// literals, one multi-byte character, and a few whole tokens so that
+    /// random draws reach past the first byte more often.
+    const JSONISH: [&str; 30] = [
+        "[", "]", "{", "}", "\"", "\\", ":", ",", " ", "u", "0", "1", "7", "9", "e", "E", ".", "-",
+        "t", "r", "f", "a", "l", "s", "n", "é", "true", "null", "\"k\":", "\\u00",
+    ];
+
+    /// Characters a string value may hold that its encoding must escape
+    /// or carry through as multi-byte UTF-8.
+    const STRINGISH: [char; 10] = [
+        'a',
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\t',
+        '\u{1}',
+        'é',
+        '€',
+        '\u{1F600}',
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Arbitrary JSON-like text parses to `Ok` or `Err`, never a
+        /// panic, and whatever parses re-encodes to JSON that parses.
+        #[test]
+        fn parse_never_panics_on_json_like_text(
+            picks in proptest::collection::vec(0usize..JSONISH.len(), 0..48),
+        ) {
+            let text: String = picks.iter().map(|&i| JSONISH[i]).collect();
+            if let Ok(v) = Value::parse(&text) {
+                proptest::prop_assert!(Value::parse(&v.to_json()).is_ok(), "{:?}", text);
+            }
+        }
+
+        /// Real documents with random edits spliced in (JSON-ish tokens
+        /// inserted, a char deleted, the tail torn off): `Ok` or `Err`,
+        /// never a panic.
+        #[test]
+        fn parse_never_panics_on_edited_documents(
+            doc in 0usize..3,
+            edits in proptest::collection::vec((0usize..4096, 0usize..JSONISH.len(), 0u8..4), 1..6),
+        ) {
+            let mut text = [
+                outcome().to_json().to_json(),
+                die_params_to_json(&DieParams {
+                    hetero: Some(HeteroMix::big_little(1)),
+                    ..DieParams::default()
+                })
+                .to_json(),
+                "{\"a\":[1,-2.5e3,true,null,{\"b\":\"é\\u0041\\n\"}],\"c\":{}}".to_string(),
+            ][doc]
+                .clone();
+            for (at, token, op) in edits {
+                let mut at = at % (text.len() + 1);
+                while !text.is_char_boundary(at) {
+                    at -= 1;
+                }
+                match op {
+                    0 => text.truncate(at),
+                    1 if at < text.len() => {
+                        text.remove(at);
+                    }
+                    _ => text.insert_str(at, JSONISH[token]),
+                }
+            }
+            let _ = Value::parse(&text);
+        }
+
+        /// Any string survives encode → parse unchanged, however its
+        /// escapes and multi-byte characters are interleaved.
+        #[test]
+        fn any_string_round_trips(
+            picks in proptest::collection::vec(0usize..STRINGISH.len(), 0..32),
+        ) {
+            let s: String = picks.iter().map(|&i| STRINGISH[i]).collect();
+            let parsed = Value::parse(&Value::Str(s.clone()).to_json());
+            proptest::prop_assert_eq!(parsed, Ok(Value::Str(s)));
+        }
     }
 
     fn outcome() -> RunOutcome {
@@ -793,8 +947,6 @@ mod tests {
     #[test]
     fn die_params_round_trip_all_steppers() {
         for stepper in [
-            Stepper::ForwardEuler,
-            Stepper::Rk4,
             Stepper::Exact,
             Stepper::adaptive(),
             Stepper::Adaptive {
@@ -845,11 +997,14 @@ mod tests {
 
     #[test]
     fn die_params_rejects_unknown_stepper() {
-        let mut v = die_params_to_json(&DieParams::default());
-        if let Value::Obj(fields) = &mut v {
-            fields.retain(|(k, _)| k != "stepper");
+        // Fixed-step integrator names are not steppers either.
+        for name in ["leapfrog", "rk4", "forward-euler"] {
+            let mut v = die_params_to_json(&DieParams::default());
+            if let Value::Obj(fields) = &mut v {
+                fields.retain(|(k, _)| k != "stepper");
+            }
+            v.set("stepper", Value::Str(name.into()));
+            assert!(die_params_from_json(&v).is_err(), "{name}");
         }
-        v.set("stepper", Value::Str("leapfrog".into()));
-        assert!(die_params_from_json(&v).is_err());
     }
 }

@@ -1,12 +1,10 @@
 //! Run outcomes and derived metrics.
 
-use serde::{Deserialize, Serialize};
-
 use thermorl_platform::CounterSnapshot;
 use thermorl_reliability::{ReliabilityAnalyzer, ReliabilityReport, ThermalProfile};
 
 /// Per-application results within a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppResult {
     /// Benchmark name.
     pub name: String,
@@ -36,7 +34,7 @@ impl AppResult {
 }
 
 /// Everything measured during one simulated run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// Scenario label (e.g. `"mpegdec-tachyon"`).
     pub scenario_name: String,

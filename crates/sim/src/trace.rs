@@ -2,10 +2,8 @@
 
 use std::io::{self, Write};
 
-use serde::{Deserialize, Serialize};
-
 /// A labelled event on the trace timeline (decisions, app switches).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Time of the event (s).
     pub time: f64,
@@ -15,7 +13,7 @@ pub struct TraceEvent {
 
 /// Records per-sample time series during a run: temperatures, frequencies
 /// and performance, plus discrete events.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceRecorder {
     /// Sample timestamps (s).
     pub times: Vec<f64>,

@@ -77,7 +77,7 @@ fn span_json(s: &SpanStats) -> String {
 }
 
 impl Snapshot {
-    /// Serializes the snapshot as a single JSON object.
+    /// Encodes the snapshot as a single JSON object.
     pub fn to_json(&self) -> String {
         let counters: Vec<String> = self
             .counters
@@ -128,7 +128,7 @@ impl Snapshot {
         )
     }
 
-    /// Serializes the snapshot in Prometheus text exposition format.
+    /// Encodes the snapshot in Prometheus text exposition format.
     /// Metric names are sanitized (`.` → `_`); span timings export as
     /// `<name>_ns` histograms with cumulative buckets.
     pub fn to_prometheus(&self) -> String {

@@ -11,7 +11,8 @@
 //! * compile time — without the `telemetry` feature every function here
 //!   is an empty body and [`crate::enabled`] is a constant `false`;
 //! * run time — with the feature on, nothing records until
-//!   [`set_enabled`]`(true)` flips the global [`AtomicBool`] (checked
+//!   [`set_enabled`]`(true)` flips the global
+//!   [`AtomicBool`](std::sync::atomic::AtomicBool) (checked
 //!   with one relaxed load per call site).
 
 use std::collections::BTreeMap;

@@ -42,20 +42,15 @@ use crate::stepper::Stepper;
 
 /// Preallocated batch stepper scratch, so batched stepping never touches
 /// the heap once the `[E | F]` block for the current step size is cached.
-/// `k1..k4` and `tmp`/`t0` are `nodes × width` (the explicit steppers
-/// sweep every die at once, and `k1` takes the exact product); `k5..k7`,
-/// `ya` and `inj` are single columns of length `nodes` (the adaptive
-/// kernel gathers one die at a time, reusing prefixes of the wide
-/// buffers for its first stages).
-#[derive(Debug, Clone, Default)]
+/// `out` takes the exact product (`nodes × width`); every other buffer is
+/// a single die column of length `nodes`, because the adaptive kernel
+/// gathers and integrates one die at a time.
+#[derive(Debug, Clone)]
 struct BatchWorkspace {
-    k1: Vec<f64>,
-    k2: Vec<f64>,
-    k3: Vec<f64>,
-    k4: Vec<f64>,
-    k5: Vec<f64>,
-    k6: Vec<f64>,
-    k7: Vec<f64>,
+    out: Vec<f64>,
+    /// Adaptive stage slopes.
+    stages: [Vec<f64>; MAX_RK_STAGES],
+    /// Intermediate stage state and trial solution of the adaptive kernel.
     tmp: Vec<f64>,
     t0: Vec<f64>,
     /// One die's gathered temperatures (adaptive integration state).
@@ -67,15 +62,10 @@ struct BatchWorkspace {
 impl BatchWorkspace {
     fn new(nodes: usize, width: usize) -> Self {
         BatchWorkspace {
-            k1: vec![0.0; nodes * width],
-            k2: vec![0.0; nodes * width],
-            k3: vec![0.0; nodes * width],
-            k4: vec![0.0; nodes * width],
-            k5: vec![0.0; nodes],
-            k6: vec![0.0; nodes],
-            k7: vec![0.0; nodes],
-            tmp: vec![0.0; nodes * width],
-            t0: vec![0.0; nodes * width],
+            out: vec![0.0; nodes * width],
+            stages: std::array::from_fn(|_| vec![0.0; nodes]),
+            tmp: vec![0.0; nodes],
+            t0: vec![0.0; nodes],
             ya: vec![0.0; nodes],
             inj: vec![0.0; nodes],
         }
@@ -107,25 +97,6 @@ pub struct NetworkBatch {
     propagator_builds: u64,
     adaptive_steps: u64,
     step_rejections: u64,
-}
-
-/// One O(nnz·width) CSR sweep computing dT/dt for every (node, die); the
-/// per-element expression shape is identical to the scalar
-/// `OdeView::derivative`, so each die's slopes match bit-for-bit.
-fn batch_derivative(proto: &RcNetwork, inject: &[f64], width: usize, t: &[f64], out: &mut [f64]) {
-    let n = proto.len();
-    for i in 0..n {
-        let diag = proto.diag_g[i];
-        let inv_cap = proto.inv_capacitance[i];
-        let base = i * width;
-        for d in 0..width {
-            let mut q = inject[base + d] - diag * t[base + d];
-            for k in proto.row_ptr[i]..proto.row_ptr[i + 1] {
-                q += proto.edge_g[k] * t[proto.col_idx[k] * width + d];
-            }
-            out[base + d] = q * inv_cap;
-        }
-    }
 }
 
 impl NetworkBatch {
@@ -279,55 +250,9 @@ impl NetworkBatch {
             );
         }
         let zoh = self.exact.as_ref().expect("cache ensured above");
-        let out = &mut self.ws.k1;
+        let out = &mut self.ws.out;
         mul_cols_into(&zoh.block, self.nodes, &self.state, out, self.width);
         self.state[..out.len()].copy_from_slice(out);
-    }
-
-    /// Advances every die by a single step of `dt` seconds.
-    ///
-    /// Identical semantics to [`RcNetwork::step`] applied to each die
-    /// ([`Stepper::Adaptive`] treats `dt` as a whole span and subdivides
-    /// it under error control); no step allocates once the exact
-    /// propagator for `dt` is cached.
-    pub fn step(&mut self, dt: f64, stepper: Stepper) {
-        match stepper {
-            Stepper::Adaptive { rel_tol, abs_tol } => {
-                return self.advance_adaptive(dt, dt, rel_tol, abs_tol);
-            }
-            Stepper::Auto => return self.step(dt, self.resolve_auto()),
-            Stepper::Exact => return self.step_exact(dt),
-            Stepper::ForwardEuler | Stepper::Rk4 => {}
-        }
-        let ws = &mut self.ws;
-        let (t, inject) = self.state.split_at_mut(self.nodes * self.width);
-        let derivative = |t: &[f64], out: &mut [f64]| {
-            batch_derivative(&self.proto, inject, self.width, t, out);
-        };
-        if stepper == Stepper::ForwardEuler {
-            derivative(t, &mut ws.k1);
-            for (t, d) in t.iter_mut().zip(&ws.k1) {
-                *t += dt * d;
-            }
-        } else {
-            ws.t0.copy_from_slice(t);
-            derivative(&ws.t0, &mut ws.k1);
-            for i in 0..ws.t0.len() {
-                ws.tmp[i] = ws.t0[i] + 0.5 * dt * ws.k1[i];
-            }
-            derivative(&ws.tmp, &mut ws.k2);
-            for i in 0..ws.t0.len() {
-                ws.tmp[i] = ws.t0[i] + 0.5 * dt * ws.k2[i];
-            }
-            derivative(&ws.tmp, &mut ws.k3);
-            for i in 0..ws.t0.len() {
-                ws.tmp[i] = ws.t0[i] + dt * ws.k3[i];
-            }
-            derivative(&ws.tmp, &mut ws.k4);
-            for (i, t) in t.iter_mut().enumerate() {
-                *t = ws.t0[i] + dt / 6.0 * (ws.k1[i] + 2.0 * ws.k2[i] + 2.0 * ws.k3[i] + ws.k4[i]);
-            }
-        }
     }
 
     /// Advances every die by `duration` seconds under the embedded
@@ -336,21 +261,10 @@ impl NetworkBatch {
     /// is bit-identical to advancing it alone. Each die keeps its own
     /// warm-start step size.
     fn advance_adaptive(&mut self, duration: f64, dt_hint: f64, rel_tol: f64, abs_tol: f64) {
-        if duration <= 0.0 {
-            return;
-        }
         let ws = &mut self.ws;
         let n = self.nodes;
         let ode = self.proto.ode_view();
-        let mut stages: [&mut [f64]; MAX_RK_STAGES] = [
-            &mut ws.k1[..n],
-            &mut ws.k2[..n],
-            &mut ws.k3[..n],
-            &mut ws.k4[..n],
-            &mut ws.k5,
-            &mut ws.k6,
-            &mut ws.k7,
-        ];
+        let mut stages = ws.stages.each_mut().map(Vec::as_mut_slice);
         let mut accepted = 0u64;
         let mut rejected = 0u64;
         let mut dt_last = dt_hint;
@@ -369,8 +283,8 @@ impl NetworkBatch {
                 rel_tol,
                 abs_tol,
                 &mut stages,
-                &mut ws.tmp[..n],
-                &mut ws.t0[..n],
+                &mut ws.tmp,
+                &mut ws.t0,
             );
             for i in 0..n {
                 self.state[i * self.width + die] = ws.ya[i];
@@ -388,8 +302,7 @@ impl NetworkBatch {
     }
 
     /// Advances every die by `duration` seconds — the batched counterpart
-    /// of [`RcNetwork::advance`], with the identical sub-step splitting
-    /// (so a batched die and a scalar die run the same step sequence).
+    /// of [`RcNetwork::advance`], with the same stepper semantics.
     pub fn advance(&mut self, duration: f64, dt: f64, stepper: Stepper) {
         if duration <= 0.0 {
             return;
@@ -401,28 +314,12 @@ impl NetworkBatch {
         } else {
             stepper
         };
-        if stepper == Stepper::Exact {
-            self.step_exact(duration);
-            return;
-        }
         if let Stepper::Adaptive { rel_tol, abs_tol } = stepper {
             // The controller subdivides the duration itself; dt is only
             // the cold-start hint.
             self.advance_adaptive(duration, dt, rel_tol, abs_tol);
-            return;
-        }
-        let ratio = duration / dt;
-        let steps = if (ratio - ratio.round()).abs() < 1e-9 {
-            ratio.round() as u64
         } else {
-            ratio.floor() as u64
-        };
-        for _ in 0..steps {
-            self.step(dt, stepper);
-        }
-        let remainder = duration - steps as f64 * dt;
-        if remainder > 1e-12 {
-            self.step(remainder, stepper);
+            self.step_exact(duration);
         }
     }
 }
@@ -432,8 +329,7 @@ impl NetworkBatch {
 /// identical dies step together with the prototype's `sim_dt`/stepper.
 ///
 /// This is the unit the serve supervisor batches sessions through (one
-/// `DieBatch` per distinct die shape on a shard) and the runner sweeps in
-/// parallel.
+/// `DieBatch` per distinct die shape on a shard).
 #[derive(Debug, Clone)]
 pub struct DieBatch {
     batch: NetworkBatch,
@@ -553,12 +449,7 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar_bitwise_across_steppers() {
-        for stepper in [
-            Stepper::ForwardEuler,
-            Stepper::Rk4,
-            Stepper::Exact,
-            Stepper::adaptive(),
-        ] {
+        for stepper in [Stepper::Exact, Stepper::adaptive(), Stepper::Auto] {
             let proto = two_node();
             let width = 5;
             let mut batch = NetworkBatch::new(&proto, width);
@@ -572,8 +463,8 @@ mod tests {
             for s in &mut scalars {
                 s.advance(1.0, 0.25, stepper);
             }
-            // A second advance after a power change exercises the dirty
-            // refresh and (for adaptive) the per-die warm start.
+            // A second advance after a power change exercises the
+            // injection update and (for adaptive) the per-die warm start.
             for (d, scalar) in scalars.iter_mut().enumerate() {
                 batch.set_power(d, NodeId(0), 3.0 * d as f64 + 0.5);
                 scalar.set_power(NodeId(0), 3.0 * d as f64 + 0.5);
@@ -598,17 +489,17 @@ mod tests {
     fn batch_propagator_is_keyed_on_dt_alone() {
         let proto = two_node();
         let mut batch = NetworkBatch::new(&proto, 4);
-        batch.step(0.1, Stepper::Exact);
+        batch.advance(0.1, 0.1, Stepper::Exact);
         assert_eq!(batch.propagator_builds(), 1);
 
         // One die's power and another's ambient move: same block.
         batch.set_power(2, NodeId(0), 3.0);
         batch.set_ambient(1, 31.0);
-        batch.step(0.1, Stepper::Exact);
+        batch.advance(0.1, 0.1, Stepper::Exact);
         assert_eq!(batch.propagator_builds(), 1);
 
         // New dt: the shared block is rebuilt once for the whole fleet.
-        batch.step(0.2, Stepper::Exact);
+        batch.advance(0.2, 0.2, Stepper::Exact);
         assert_eq!(batch.propagator_builds(), 2);
     }
 

@@ -8,8 +8,6 @@
 //! a fully loaded one in the low-to-mid seventies, matching the temperature
 //! ranges of the paper's Table 2.
 
-use serde::{Deserialize, Serialize};
-
 use crate::network::{NodeId, RcNetwork, RcNetworkBuilder};
 use crate::stepper::Stepper;
 use crate::AMBIENT_C;
@@ -18,7 +16,7 @@ use crate::AMBIENT_C;
 ///
 /// Cores are numbered row-major: core `i` sits at
 /// `(i % width, i / width)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Floorplan {
     width: usize,
     height: usize,
@@ -78,7 +76,7 @@ impl Floorplan {
 /// spreader contact of a big core versus the small, weakly-coupled
 /// LITTLE one. With `hetero: None` the die is homogeneous and builds the
 /// exact same network as before, bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeteroMix {
     /// Number of "big" cores (the first `big_cores` in row-major order).
     pub big_cores: usize,
@@ -141,7 +139,7 @@ impl HeteroMix {
 /// time constant of ≈0.7 s (fast enough that second-scale activity bursts
 /// produce visible thermal cycles) and a heatsink time constant of ≈37 s
 /// (slow drift across application phases).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DieParams {
     /// Heat capacitance of each core node (J/K).
     pub core_capacitance: f64,
@@ -159,8 +157,9 @@ pub struct DieParams {
     pub sink_to_ambient: f64,
     /// Ambient temperature (°C).
     pub ambient: f64,
-    /// Internal integration step (s). Ignored by [`Stepper::Exact`], which
-    /// covers any advance duration in a single propagator application.
+    /// Internal integration step (s): the cold-start step size of
+    /// [`Stepper::Adaptive`]. Ignored by [`Stepper::Exact`], which covers
+    /// any advance duration in a single propagator application.
     pub sim_dt: f64,
     /// Integration scheme. Defaults to [`Stepper::Exact`]: power is
     /// piecewise constant between simulation ticks, so the cached
@@ -252,10 +251,8 @@ impl DieModel {
     ///
     /// # Panics
     ///
-    /// Panics if `params` fail [`DieParams::validate`], if a heterogeneous
-    /// mix names more big cores than the floorplan holds, or if the
-    /// forward Euler step is outside the stability bound of the resulting
-    /// network.
+    /// Panics if `params` fail [`DieParams::validate`] or if a
+    /// heterogeneous mix names more big cores than the floorplan holds.
     pub fn new(floorplan: Floorplan, params: DieParams) -> Self {
         params.validate().expect("invalid die parameters");
         if let Some(h) = &params.hetero {
@@ -290,14 +287,6 @@ impl DieModel {
         b.connect(spreader, sink, 1.0 / params.spreader_to_sink);
         b.connect_ambient(sink, 1.0 / params.sink_to_ambient);
         let network = b.build().expect("die network is always grounded");
-        if params.stepper == Stepper::ForwardEuler {
-            assert!(
-                params.sim_dt < network.max_stable_dt(),
-                "sim_dt {} exceeds the forward-Euler stability bound {}",
-                params.sim_dt,
-                network.max_stable_dt()
-            );
-        }
         DieModel {
             floorplan,
             params,
@@ -372,14 +361,6 @@ impl DieModel {
         b.connect(spreader, sink, 1.0 / params.spreader_to_sink);
         b.connect_ambient(sink, 1.0 / params.sink_to_ambient);
         let network = b.build().expect("die network is always grounded");
-        if params.stepper == Stepper::ForwardEuler {
-            assert!(
-                params.sim_dt < network.max_stable_dt(),
-                "sim_dt {} exceeds the forward-Euler stability bound {}",
-                params.sim_dt,
-                network.max_stable_dt()
-            );
-        }
         DieModel {
             floorplan,
             params,
@@ -642,20 +623,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stability bound")]
-    fn unstable_dt_is_rejected() {
-        let params = DieParams {
-            sim_dt: 10.0,
-            stepper: Stepper::ForwardEuler,
-            ..DieParams::default()
-        };
-        let _ = DieModel::new(Floorplan::quad(), params);
-    }
-
-    #[test]
     fn exact_stepper_accepts_any_dt() {
-        // The stability bound only constrains forward Euler; the exact
-        // propagator is unconditionally stable.
+        // The exact propagator is unconditionally stable.
         let params = DieParams {
             sim_dt: 10.0,
             ..DieParams::default()
@@ -771,14 +740,14 @@ mod tests {
     }
 
     #[test]
-    fn rk4_die_matches_default_die() {
-        let params_rk = DieParams {
-            stepper: Stepper::Rk4,
+    fn adaptive_die_matches_default_die() {
+        let params_adaptive = DieParams {
+            stepper: Stepper::adaptive(),
             sim_dt: 0.05,
             ..DieParams::default()
         };
         let mut a = DieModel::new(Floorplan::quad(), DieParams::default());
-        let mut b = DieModel::new(Floorplan::quad(), params_rk);
+        let mut b = DieModel::new(Floorplan::quad(), params_adaptive);
         for c in 0..4 {
             a.set_core_power(c, 12.0);
             b.set_core_power(c, 12.0);

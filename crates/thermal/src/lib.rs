@@ -5,8 +5,9 @@
 //! style of HotSpot's compact models, plus the pieces a run-time thermal
 //! manager observes and manipulates:
 //!
-//! * [`RcNetwork`] — an arbitrary thermal RC network with explicit
-//!   integration ([`Stepper`]) and an analytic steady state obtained by LU
+//! * [`RcNetwork`] — an arbitrary thermal RC network stepped exactly
+//!   under piecewise-constant power or adaptively on large dies
+//!   ([`Stepper`]), with an analytic steady state obtained by LU
 //!   decomposition ([`linalg`]) on small networks or matrix-free
 //!   conjugate gradient on large ones.
 //! * [`rk`] — embedded adaptive Runge–Kutta tableaus ([`rk::RkTable`])

@@ -4,8 +4,8 @@
 //! are "difficult to solve using direct mathematical techniques such as LU
 //! decomposition" at scale; our compact networks are small (a handful of
 //! nodes per core), so a straightforward partially-pivoted LU is both exact
-//! and fast, and is used to obtain analytic steady states that validate the
-//! explicit integrators.
+//! and fast. It gives the analytic steady states and the `A⁻¹` columns of
+//! the exact stepper's zero-order-hold block.
 
 use std::fmt;
 

@@ -71,7 +71,7 @@ impl NodeId {
 /// b.connect_ambient(s, 1.0); // sink leaks to ambient
 /// let mut net = b.build().unwrap();
 /// net.set_power(a, 10.0);
-/// net.advance(1200.0, 0.05, Stepper::ForwardEuler);
+/// net.advance(1200.0, 0.05, Stepper::Exact);
 /// // Steady state: sink = 25 + 10/1 = 35, core = 35 + 10/2 = 40.
 /// assert!((net.temperature(a) - 40.0).abs() < 0.1);
 /// ```
@@ -284,20 +284,13 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Preallocated stepper scratch, so stepping never touches the heap.
-/// `k1..k7` are RK stage slopes (`k1` doubles as the Euler slope and the
-/// exact step's output; the adaptive DP54 pair uses all seven), `tmp`
-/// holds intermediate states, and `t0` the step's initial temperatures
-/// (the adaptive kernel reuses it as its trial-solution buffer).
-#[derive(Debug, Clone, Default)]
+/// Preallocated stepper scratch, so stepping never touches the heap:
+/// the adaptive DP54 pair's stage slopes (`stages[0]` doubles as the
+/// exact step's output), its intermediate stage state `tmp` and its trial
+/// solution `t0`.
+#[derive(Debug, Clone)]
 struct Workspace {
-    k1: Vec<f64>,
-    k2: Vec<f64>,
-    k3: Vec<f64>,
-    k4: Vec<f64>,
-    k5: Vec<f64>,
-    k6: Vec<f64>,
-    k7: Vec<f64>,
+    stages: [Vec<f64>; MAX_RK_STAGES],
     tmp: Vec<f64>,
     t0: Vec<f64>,
 }
@@ -305,13 +298,7 @@ struct Workspace {
 impl Workspace {
     fn with_len(n: usize) -> Self {
         Workspace {
-            k1: vec![0.0; n],
-            k2: vec![0.0; n],
-            k3: vec![0.0; n],
-            k4: vec![0.0; n],
-            k5: vec![0.0; n],
-            k6: vec![0.0; n],
-            k7: vec![0.0; n],
+            stages: std::array::from_fn(|_| vec![0.0; n]),
             tmp: vec![0.0; n],
             t0: vec![0.0; n],
         }
@@ -354,7 +341,7 @@ pub struct RcNetwork {
     /// CSR edge conductances (W/K), parallel to `col_idx`.
     pub(crate) edge_g: Vec<f64>,
     /// Per-node total conductance `g_amb_i + Σ_j g_ij` (the Laplacian
-    /// diagonal; also drives the Gershgorin stability bound).
+    /// diagonal).
     pub(crate) diag_g: Vec<f64>,
     /// Steady-state solver: dense LU (small) or matrix-free CG (large).
     pub(crate) steady: SteadySolver,
@@ -581,61 +568,9 @@ impl RcNetwork {
         }
         let zoh = self.exact.as_ref().expect("cache ensured above");
         let n = self.len();
-        let out = &mut self.scratch.k1;
+        let out = &mut self.scratch.stages[0];
         mul_cols_into(&zoh.block, n, &self.state, out, 1);
         self.state[..n].copy_from_slice(out);
-    }
-
-    /// Advances the network by a single step of `dt` seconds.
-    ///
-    /// [`Stepper::Exact`] is exact for any `dt` under piecewise-constant
-    /// power; the explicit steppers discretise and need `dt` within their
-    /// stability/accuracy bounds. [`Stepper::Adaptive`] treats `dt` as the
-    /// total span and subdivides it under error control (so a "step" of
-    /// any size is safe); [`Stepper::Auto`] resolves to one of the others
-    /// first. No step allocates once the exact propagator for `dt` is
-    /// cached.
-    pub fn step(&mut self, dt: f64, stepper: Stepper) {
-        match stepper {
-            Stepper::Adaptive { rel_tol, abs_tol } => {
-                return self.advance_adaptive(dt, dt, rel_tol, abs_tol);
-            }
-            Stepper::Auto => return self.step(dt, self.resolve_auto()),
-            Stepper::Exact => return self.step_exact(dt),
-            Stepper::ForwardEuler | Stepper::Rk4 => {}
-        }
-        // The workspace is moved out so its buffers can be borrowed
-        // mutably alongside `&self` (a Vec move, not an allocation).
-        let mut ws = std::mem::take(&mut self.scratch);
-        let n = self.len();
-        let ode = self.ode_view();
-        let (t, inject) = self.state.split_at(n);
-        if stepper == Stepper::ForwardEuler {
-            ode.derivative(inject, t, &mut ws.k1);
-            for (t, d) in self.state[..n].iter_mut().zip(&ws.k1) {
-                *t += dt * d;
-            }
-        } else {
-            ws.t0.copy_from_slice(t);
-            ode.derivative(inject, &ws.t0, &mut ws.k1);
-            for i in 0..n {
-                ws.tmp[i] = ws.t0[i] + 0.5 * dt * ws.k1[i];
-            }
-            ode.derivative(inject, &ws.tmp, &mut ws.k2);
-            for i in 0..n {
-                ws.tmp[i] = ws.t0[i] + 0.5 * dt * ws.k2[i];
-            }
-            ode.derivative(inject, &ws.tmp, &mut ws.k3);
-            for i in 0..n {
-                ws.tmp[i] = ws.t0[i] + dt * ws.k3[i];
-            }
-            ode.derivative(inject, &ws.tmp, &mut ws.k4);
-            for i in 0..n {
-                self.state[i] =
-                    ws.t0[i] + dt / 6.0 * (ws.k1[i] + 2.0 * ws.k2[i] + 2.0 * ws.k3[i] + ws.k4[i]);
-            }
-        }
-        self.scratch = ws;
     }
 
     /// Advances `duration` seconds under the embedded Dormand–Prince 5(4)
@@ -643,9 +578,6 @@ impl RcNetwork {
     /// tolerances, PI step-size adaptation warm-started from the previous
     /// adaptive advance (or `dt_hint` on the first one).
     fn advance_adaptive(&mut self, duration: f64, dt_hint: f64, rel_tol: f64, abs_tol: f64) {
-        if duration <= 0.0 {
-            return;
-        }
         let ws = &mut self.scratch;
         let dt0 = self.adaptive_dt.unwrap_or(dt_hint);
         let stats = {
@@ -657,9 +589,7 @@ impl RcNetwork {
                 inv_cap: &self.inv_capacitance,
             };
             let (t, inject) = self.state.split_at_mut(self.names.len());
-            let mut stages: [&mut [f64]; MAX_RK_STAGES] = [
-                &mut ws.k1, &mut ws.k2, &mut ws.k3, &mut ws.k4, &mut ws.k5, &mut ws.k6, &mut ws.k7,
-            ];
+            let mut stages = ws.stages.each_mut().map(Vec::as_mut_slice);
             rk::integrate::<DormandPrince54>(
                 &ode,
                 inject,
@@ -706,61 +636,19 @@ impl RcNetwork {
     /// is exact at any step size under piecewise-constant power).
     /// [`Stepper::Adaptive`] also consumes the duration in one call,
     /// subdividing it under error control with `dt` as the cold-start
-    /// hint; [`Stepper::Auto`] resolves to one of the two first. The
-    /// explicit steppers take `floor(duration/dt)` full sub-steps (the
-    /// count is computed up front, so `advance(a + b)` performs the same
-    /// step sequence as `advance(a); advance(b)` whenever `a` and `b` are
-    /// multiples of `dt`), then one final partial step with the remainder
-    /// so the advance is exact in total time.
+    /// hint; [`Stepper::Auto`] resolves to one of the two first. No
+    /// advance allocates once the `[E | F]` block for `duration` is
+    /// cached.
     pub fn advance(&mut self, duration: f64, dt: f64, stepper: Stepper) {
         if duration <= 0.0 {
             return;
         }
-        let stepper = if stepper == Stepper::Auto {
-            self.resolve_auto()
-        } else {
-            stepper
-        };
-        if stepper == Stepper::Exact {
-            self.step_exact(duration);
-            return;
-        }
-        if let Stepper::Adaptive { rel_tol, abs_tol } = stepper {
-            // The controller subdivides the duration itself; dt is only
-            // the cold-start hint.
-            self.advance_adaptive(duration, dt, rel_tol, abs_tol);
-            return;
-        }
-        let ratio = duration / dt;
-        // Snap to an integer step count when duration is a multiple of dt
-        // up to floating-point rounding, so no spurious 1e-16 s step runs.
-        let steps = if (ratio - ratio.round()).abs() < 1e-9 {
-            ratio.round() as u64
-        } else {
-            ratio.floor() as u64
-        };
-        for _ in 0..steps {
-            self.step(dt, stepper);
-        }
-        let remainder = duration - steps as f64 * dt;
-        if remainder > 1e-12 {
-            self.step(remainder, stepper);
-        }
-    }
-
-    /// Largest forward-Euler step that keeps integration stable, from the
-    /// Gershgorin bound on the system's eigenvalues: `dt < 2 / max_i (Σg/C)`.
-    pub fn max_stable_dt(&self) -> f64 {
-        let worst = self
-            .diag_g
-            .iter()
-            .zip(&self.capacitance)
-            .map(|(g, c)| g / c)
-            .fold(0.0, f64::max);
-        if worst == 0.0 {
-            f64::INFINITY
-        } else {
-            2.0 / worst
+        match stepper {
+            Stepper::Exact => self.step_exact(duration),
+            Stepper::Adaptive { rel_tol, abs_tol } => {
+                self.advance_adaptive(duration, dt, rel_tol, abs_tol);
+            }
+            Stepper::Auto => self.advance(duration, dt, self.resolve_auto()),
         }
     }
 
@@ -854,20 +742,43 @@ mod tests {
         assert!((t[0] - 35.0).abs() < 1e-9, "{t:?}");
     }
 
-    #[test]
-    fn euler_converges_to_steady_state() {
-        let mut net = two_node();
-        net.advance(500.0, 0.05, Stepper::ForwardEuler);
-        let ss = net.steady_state().unwrap();
-        for (a, b) in net.temperatures().iter().zip(&ss) {
-            assert!((a - b).abs() < 0.05);
+    /// `out = y + a·x`, elementwise.
+    fn axpy(out: &mut [f64], y: &[f64], a: f64, x: &[f64]) {
+        for ((o, &y), &x) in out.iter_mut().zip(y).zip(x) {
+            *o = y + a * x;
         }
+    }
+
+    /// Classic fixed-step fourth-order Runge–Kutta over the CSR graph:
+    /// the fine-step reference the exact and adaptive steppers are held
+    /// to on transients. Takes `round(duration / dt)` equal steps.
+    fn rk4_reference(net: &mut RcNetwork, duration: f64, dt: f64) {
+        let n = net.len();
+        let steps = (duration / dt).round() as usize;
+        let h = duration / steps as f64;
+        let mut t = net.temperatures().to_vec();
+        let inject = net.state[n..].to_vec();
+        let ode = net.ode_view();
+        let [mut k1, mut k2, mut k3, mut k4, mut tmp] = std::array::from_fn(|_| vec![0.0; n]);
+        for _ in 0..steps {
+            ode.derivative(&inject, &t, &mut k1);
+            axpy(&mut tmp, &t, 0.5 * h, &k1);
+            ode.derivative(&inject, &tmp, &mut k2);
+            axpy(&mut tmp, &t, 0.5 * h, &k2);
+            ode.derivative(&inject, &tmp, &mut k3);
+            axpy(&mut tmp, &t, h, &k3);
+            ode.derivative(&inject, &tmp, &mut k4);
+            for (i, t) in t.iter_mut().enumerate() {
+                *t += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+            }
+        }
+        net.set_temperatures(&t);
     }
 
     #[test]
     fn rk4_converges_to_steady_state() {
         let mut net = two_node();
-        net.advance(500.0, 0.25, Stepper::Rk4);
+        rk4_reference(&mut net, 500.0, 0.25);
         let ss = net.steady_state().unwrap();
         for (a, b) in net.temperatures().iter().zip(&ss) {
             assert!((a - b).abs() < 0.05);
@@ -891,7 +802,7 @@ mod tests {
         let mut exact = two_node();
         let mut rk = two_node();
         exact.advance(3.0, 3.0, Stepper::Exact); // one propagator application
-        rk.advance(3.0, 1e-3, Stepper::Rk4); // reference at tiny dt
+        rk4_reference(&mut rk, 3.0, 1e-3); // reference at tiny dt
         for (a, b) in exact.temperatures().iter().zip(rk.temperatures()) {
             assert!((a - b).abs() < 1e-7, "{a} vs {b}");
         }
@@ -903,8 +814,8 @@ mod tests {
         let mut once = two_node();
         let mut twice = two_node();
         once.advance(2.0, 2.0, Stepper::Exact);
-        twice.step(1.0, Stepper::Exact);
-        twice.step(1.0, Stepper::Exact);
+        twice.advance(1.0, 1.0, Stepper::Exact);
+        twice.advance(1.0, 1.0, Stepper::Exact);
         for (a, b) in once.temperatures().iter().zip(twice.temperatures()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
@@ -913,22 +824,22 @@ mod tests {
     #[test]
     fn exact_propagator_cache_invalidates_on_dt_and_ambient() {
         let mut net = two_node();
-        net.step(0.1, Stepper::Exact);
+        net.advance(0.1, 0.1, Stepper::Exact);
         assert_eq!(net.propagator_builds(), 1);
 
         // Same dt: the cache hits.
-        net.step(0.1, Stepper::Exact);
+        net.advance(0.1, 0.1, Stepper::Exact);
         assert_eq!(net.propagator_builds(), 1);
 
         // New dt: propagator rebuilt.
-        net.step(0.2, Stepper::Exact);
+        net.advance(0.2, 0.2, Stepper::Exact);
         assert_eq!(net.propagator_builds(), 2);
 
         // Ambient and power changes enter through `u`: no rebuild.
         net.set_ambient(30.0);
-        net.step(0.2, Stepper::Exact);
+        net.advance(0.2, 0.2, Stepper::Exact);
         net.set_power(NodeId(0), 5.0);
-        net.step(0.2, Stepper::Exact);
+        net.advance(0.2, 0.2, Stepper::Exact);
         assert_eq!(net.propagator_builds(), 2);
         assert_eq!(net.steady_refreshes(), 0, "stepping never solves");
     }
@@ -938,15 +849,15 @@ mod tests {
         // A network whose cache was built under different (dt, ambient,
         // power) must agree with a fresh one after invalidation.
         let mut warm = two_node();
-        warm.step(0.5, Stepper::Exact);
+        warm.advance(0.5, 0.5, Stepper::Exact);
         warm.set_ambient(28.0);
         warm.set_power(NodeId(0), 4.0);
         let mut cold = two_node();
         cold.set_ambient(28.0);
         cold.set_power(NodeId(0), 4.0);
         cold.set_temperatures(warm.temperatures());
-        warm.step(1.0, Stepper::Exact);
-        cold.step(1.0, Stepper::Exact);
+        warm.advance(1.0, 1.0, Stepper::Exact);
+        cold.advance(1.0, 1.0, Stepper::Exact);
         for (a, b) in warm.temperatures().iter().zip(cold.temperatures()) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
@@ -1062,7 +973,7 @@ mod tests {
                         zoh.set_ambient(ambient);
                         reference.set_ambient(ambient);
                     }
-                    zoh.step(dt, Stepper::Exact);
+                    zoh.advance(dt, dt, Stepper::Exact);
                     steady.step(&mut reference, dt);
                     for (i, (a, b)) in zoh
                         .temperatures()
@@ -1081,19 +992,37 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Exact carries no discretisation error, so under random powers
+        /// the default quad die lands on a fixed-step RK4 reference at
+        /// `dt = 0.05` s over a 20 s transient. (The rest of
+        /// `steppers_agree` lives in `tests/properties.rs`, which cannot
+        /// reach this test-only reference.)
+        #[test]
+        fn exact_die_matches_rk4_reference(
+            p in proptest::collection::vec(0.0f64..20.0, 4),
+        ) {
+            let mut die = crate::DieModel::quad_core();
+            for (c, &w) in p.iter().enumerate() {
+                die.set_core_power(c, w);
+            }
+            let mut rk = die.network().clone();
+            die.advance(20.0);
+            rk4_reference(&mut rk, 20.0, 0.05);
+            for &node in die.core_nodes() {
+                let (a, b) = (die.network().temperature(node), rk.temperature(node));
+                proptest::prop_assert!((a - b).abs() < 1e-2, "exact {} vs rk4 {}", a, b);
+            }
+        }
+    }
+
     #[test]
     fn settle_jumps_to_steady_state() {
         let mut net = two_node();
         net.settle();
         assert!((net.temperature(NodeId(0)) - 35.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn max_stable_dt_guards_euler() {
-        let net = two_node();
-        let dt = net.max_stable_dt();
-        // Core node: (2.0)/5.0 = 0.4; sink: 3/50 = 0.06 → dt = 2/0.4 = 5 s.
-        assert!((dt - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1103,7 +1032,7 @@ mod tests {
         net.set_temperatures(&[80.0, 60.0]);
         let mut prev = net.temperature(NodeId(0));
         for _ in 0..100 {
-            net.step(0.05, Stepper::ForwardEuler);
+            net.advance(0.05, 0.05, Stepper::Exact);
             let now = net.temperature(NodeId(0));
             assert!(now <= prev + 1e-12);
             prev = now;
@@ -1116,8 +1045,8 @@ mod tests {
         let mut lo = two_node();
         let mut hi = two_node();
         hi.set_power(NodeId(0), 20.0);
-        lo.advance(50.0, 0.05, Stepper::ForwardEuler);
-        hi.advance(50.0, 0.05, Stepper::ForwardEuler);
+        lo.advance(50.0, 0.05, Stepper::Exact);
+        hi.advance(50.0, 0.05, Stepper::Exact);
         for i in 0..lo.len() {
             assert!(hi.temperatures()[i] > lo.temperatures()[i]);
         }
@@ -1129,50 +1058,6 @@ mod tests {
         net.set_ambient(30.0);
         let t = net.steady_state().unwrap();
         assert!((t[0] - 45.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn advance_split_at_dt_multiples_is_bit_identical() {
-        // With the sub-step count computed up front, advance(1.0) and
-        // advance(0.5); advance(0.5) run the exact same step sequence when
-        // the split points are multiples of dt.
-        for stepper in [Stepper::ForwardEuler, Stepper::Rk4] {
-            let mut a = two_node();
-            let mut b = two_node();
-            a.advance(1.0, 0.25, stepper); // 4 full steps
-            b.advance(0.5, 0.25, stepper); // 2 + 2 full steps
-            b.advance(0.5, 0.25, stepper);
-            assert_eq!(
-                a.temperatures(),
-                b.temperatures(),
-                "split advance must be bit-identical for {stepper}"
-            );
-        }
-    }
-
-    #[test]
-    fn advance_handles_partial_final_step() {
-        let mut a = two_node();
-        let mut b = two_node();
-        a.advance(1.0, 0.3, Stepper::Rk4); // 0.3+0.3+0.3+0.1
-        b.advance(0.5, 0.3, Stepper::Rk4); // 0.3+0.2, then 0.3+0.2
-        b.advance(0.5, 0.3, Stepper::Rk4);
-        // Not bit-identical (different step splits) but physically close.
-        assert!((a.temperature(NodeId(0)) - b.temperature(NodeId(0))).abs() < 1e-3);
-    }
-
-    #[test]
-    fn advance_near_multiple_does_not_take_spurious_step() {
-        // 0.3 * 3 accumulates to 0.8999999999999999; advance by that
-        // amount with dt = 0.3 must take exactly 3 steps, not 3 + a
-        // ~1e-16 s tail step.
-        let mut a = two_node();
-        let mut b = two_node();
-        a.advance(0.3 + 0.3 + 0.3, 0.3, Stepper::Rk4);
-        for _ in 0..3 {
-            b.step(0.3, Stepper::Rk4);
-        }
-        assert_eq!(a.temperatures(), b.temperatures());
     }
 
     #[test]
@@ -1192,7 +1077,7 @@ mod tests {
         let mut adaptive = two_node();
         let mut rk = two_node();
         adaptive.advance(3.0, 0.05, Stepper::adaptive());
-        rk.advance(3.0, 1e-3, Stepper::Rk4);
+        rk4_reference(&mut rk, 3.0, 1e-3);
         for (a, b) in adaptive.temperatures().iter().zip(rk.temperatures()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
@@ -1252,8 +1137,8 @@ mod tests {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
         let mut dense = build(None);
-        dense.step(1.0, Stepper::Exact);
-        free.step(1.0, Stepper::Exact);
+        dense.advance(1.0, 1.0, Stepper::Exact);
+        free.advance(1.0, 1.0, Stepper::Exact);
         for (a, b) in dense.temperatures().iter().zip(free.temperatures()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }

@@ -141,7 +141,8 @@ impl RkTable for CashKarp45 {
     ];
 }
 
-/// Outcome of one [`integrate`] call.
+/// Outcome of one adaptive advance (one call of the crate-internal
+/// `integrate` kernel).
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveStats {
     /// Accepted steps taken over the advance.

@@ -1,29 +1,20 @@
 //! Time integrators for RC networks.
 
-use serde::{Deserialize, Serialize};
-
-/// Integration scheme for [`crate::RcNetwork::step`].
+/// Integration scheme for [`crate::RcNetwork::advance`].
 ///
 /// `Exact` is the default used by the co-simulation: power is piecewise
 /// constant between simulation ticks, so the zero-order-hold update
 /// `T' = E·T + F·u` (`E = exp(-C⁻¹A·dt)`, `F = (I − E)·A⁻¹`, one product
 /// of the cached block `[E | F]`) advances a full tick with no
-/// discretisation error at any `dt`. Forward Euler and RK4 remain
-/// available for time-varying power *within* a step (where the
-/// piecewise-constant assumption breaks) and as independent references
-/// the property tests validate `Exact` against.
+/// discretisation error at any `dt`.
 ///
 /// `Adaptive` is the large-floorplan path: an embedded Dormand–Prince
 /// 5(4) pair with per-node error control and a PI step-size controller
 /// advances via sparse CSR matvecs only (O(nnz) per stage), so dies too
 /// large to densify `expm`/LU still step. `Auto` picks between the two
 /// from the node count.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Stepper {
-    /// First-order explicit Euler: cheap, stable for `dt < max_stable_dt`.
-    ForwardEuler,
-    /// Classic fourth-order Runge–Kutta.
-    Rk4,
     /// Exact zero-order-hold step (piecewise-constant power), one product
     /// per step with the `[E | F]` block cached per `dt`.
     #[default]
@@ -75,8 +66,6 @@ impl Stepper {
 impl std::fmt::Display for Stepper {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Stepper::ForwardEuler => write!(f, "forward-euler"),
-            Stepper::Rk4 => write!(f, "rk4"),
             Stepper::Exact => write!(f, "exact"),
             Stepper::Adaptive { rel_tol, abs_tol } => {
                 write!(f, "adaptive:{rel_tol:e}:{abs_tol:e}")
@@ -102,14 +91,10 @@ fn parse_tol(spec: &str, field: &str, raw: &str) -> Result<f64, String> {
 impl std::str::FromStr for Stepper {
     type Err = String;
 
-    /// Parses the [`std::fmt::Display`] names (`"euler"` is accepted as an
-    /// alias for `"forward-euler"`; bare `"adaptive"` uses the default
-    /// tolerances), as used by JSON configs and the bench binaries'
-    /// `--stepper` flag.
+    /// Parses the [`std::fmt::Display`] names (bare `"adaptive"` uses the
+    /// default tolerances), as used by JSON configs.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "forward-euler" | "euler" => Ok(Stepper::ForwardEuler),
-            "rk4" => Ok(Stepper::Rk4),
             "exact" => Ok(Stepper::Exact),
             "adaptive" => Ok(Stepper::adaptive()),
             "auto" => Ok(Stepper::Auto),
@@ -126,8 +111,7 @@ impl std::str::FromStr for Stepper {
                     });
                 }
                 Err(format!(
-                    "unknown stepper {other:?} (expected exact, rk4, forward-euler, \
-                     adaptive[:REL:ABS] or auto)"
+                    "unknown stepper {other:?} (expected exact, adaptive[:REL:ABS] or auto)"
                 ))
             }
         }
@@ -145,8 +129,6 @@ mod tests {
 
     #[test]
     fn display_names() {
-        assert_eq!(Stepper::ForwardEuler.to_string(), "forward-euler");
-        assert_eq!(Stepper::Rk4.to_string(), "rk4");
         assert_eq!(Stepper::Exact.to_string(), "exact");
         assert_eq!(Stepper::adaptive().to_string(), "adaptive:1e-6:1e-9");
         assert_eq!(Stepper::Auto.to_string(), "auto");
@@ -155,8 +137,6 @@ mod tests {
     #[test]
     fn from_str_round_trips_display_names() {
         for s in [
-            Stepper::ForwardEuler,
-            Stepper::Rk4,
             Stepper::Exact,
             Stepper::adaptive(),
             Stepper::Adaptive {
@@ -167,9 +147,18 @@ mod tests {
         ] {
             assert_eq!(s.to_string().parse::<Stepper>(), Ok(s));
         }
-        assert_eq!("euler".parse::<Stepper>(), Ok(Stepper::ForwardEuler));
         assert_eq!("adaptive".parse::<Stepper>(), Ok(Stepper::adaptive()));
         assert!("leapfrog".parse::<Stepper>().is_err());
+    }
+
+    #[test]
+    fn fixed_step_names_are_rejected() {
+        for name in ["rk4", "forward-euler", "euler"] {
+            let err = name.parse::<Stepper>().unwrap_err();
+            for remaining in ["exact", "adaptive", "auto"] {
+                assert!(err.contains(remaining), "{name}: {err}");
+            }
+        }
     }
 
     #[test]

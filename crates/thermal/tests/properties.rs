@@ -78,9 +78,9 @@ proptest! {
         }
     }
 
-    /// All three steppers agree on slow transients under random powers:
-    /// small-dt RK4 is the reference, and forward Euler (discretisation
-    /// error ~dt) and Exact (no discretisation error) must both land on it.
+    /// Both steppers agree on slow transients under random powers. The
+    /// exact die is also held to a fine fixed-step RK4 reference, in
+    /// `network.rs`'s unit tests where that test-only reference lives.
     #[test]
     fn steppers_agree(p in proptest::collection::vec(0.0f64..20.0, 4)) {
         let die_with = |stepper: Stepper, sim_dt: f64| {
@@ -93,25 +93,12 @@ proptest! {
             }
             die
         };
-        let mut rk = die_with(Stepper::Rk4, 0.05);
-        let mut euler = die_with(Stepper::ForwardEuler, 0.01);
         let mut exact = die_with(Stepper::Exact, 0.01);
         let mut adaptive = die_with(Stepper::adaptive(), 0.05);
-        rk.advance(20.0);
-        euler.advance(20.0);
         exact.advance(20.0);
         adaptive.advance(20.0);
-        for (a, b) in euler.core_temperatures().iter().zip(rk.core_temperatures()) {
-            prop_assert!((a - b).abs() < 0.15, "euler {} vs rk4 {}", a, b);
-        }
-        // Exact carries no discretisation error, so it tracks the fine RK4
-        // reference an order of magnitude tighter than Euler does.
-        for (a, b) in exact.core_temperatures().iter().zip(rk.core_temperatures()) {
-            prop_assert!((a - b).abs() < 1e-2, "exact {} vs rk4 {}", a, b);
-        }
         // The adaptive controller holds per-step error at its tolerances,
-        // so it must sit on the exact propagator far inside the explicit
-        // steppers' discretisation error.
+        // so it must sit on the exact propagator.
         for (a, b) in adaptive.core_temperatures().iter().zip(exact.core_temperatures()) {
             prop_assert!((a - b).abs() < 1e-3, "adaptive {} vs exact {}", a, b);
         }
@@ -170,18 +157,13 @@ proptest! {
     #[test]
     fn batch_agrees_with_scalar(
         width in 1usize..6,
-        stepper_idx in 0usize..4,
+        stepper_idx in 0usize..3,
         schedule in proptest::collection::vec(
             (1u8..30, proptest::collection::vec(0.0f64..20.0, 24)),
             1..5,
         ),
     ) {
-        let stepper = [
-            Stepper::ForwardEuler,
-            Stepper::Rk4,
-            Stepper::Exact,
-            Stepper::adaptive(),
-        ][stepper_idx];
+        let stepper = [Stepper::Exact, Stepper::adaptive(), Stepper::Auto][stepper_idx];
         let proto = DieModel::new(
             Floorplan::quad(),
             DieParams { stepper, ..DieParams::default() },
@@ -190,8 +172,7 @@ proptest! {
         let mut scalars: Vec<DieModel> = (0..width).map(|_| proto.clone()).collect();
         let mut out = vec![0.0; batch.nodes()];
         for (ticks, powers) in &schedule {
-            // 0.07 s ticks leave a partial final sub-step for the explicit
-            // steppers; distinct durations are distinct dts for Exact.
+            // Distinct durations are distinct dts for Exact.
             let duration = f64::from(*ticks) * 0.07;
             for (d, scalar) in scalars.iter_mut().enumerate() {
                 for c in 0..4 {

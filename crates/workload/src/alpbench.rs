@@ -8,13 +8,11 @@
 //! mpeg codecs run cool (≈ mid-thirties) but with pronounced thermal
 //! cycling from their fork-join structure.
 
-use serde::{Deserialize, Serialize};
-
 use crate::app::{AppModel, SyncModel};
 
 /// The three input datasets per benchmark of Table 2 (`set 1..3`,
 /// `clip 1..3`, `seq 1..3`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataSet {
     /// First input (Table 2's heaviest tachyon set).
     One,

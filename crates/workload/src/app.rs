@@ -1,12 +1,10 @@
 //! Application models: fork-join frame loops with per-phase activity.
 
-use serde::{Deserialize, Serialize};
-
 /// Slow modulation of per-frame work, modelling *intra-application*
 /// workload variation (scene changes in a video, image complexity in a
 /// render): the work of frame `k` is scaled by
 /// `1 + amplitude · sin(2π k / period_frames)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkModulation {
     /// Relative amplitude (0 = constant work).
     pub amplitude: f64,
@@ -24,7 +22,7 @@ impl Default for WorkModulation {
 }
 
 /// How the threads of an application synchronise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SyncModel {
     /// Fork-join: each frame is a parallel phase across all threads,
     /// a barrier, then a serial phase on thread 0 while the others block.
@@ -50,7 +48,7 @@ pub enum SyncModel {
 /// activity) executed entirely by whichever thread pulled it. Performance
 /// is frames per second, compared against the constraint
 /// `perf_constraint_fps` (the paper's `P_c`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppModel {
     /// Benchmark name, e.g. `"tachyon"`.
     pub name: String,

@@ -2,12 +2,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::app::{AppModel, SyncModel};
 
 /// What one thread wants from the platform this tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadNeed {
     /// Whether the thread has work (false = blocked at the barrier or the
     /// work queue is empty).

@@ -6,13 +6,11 @@
 //! Scenario switches are what the proposed controller must detect
 //! *autonomously* through its moving-average thresholds.
 
-use serde::{Deserialize, Serialize};
-
 use crate::alpbench::{self, DataSet};
 use crate::app::AppModel;
 
 /// An ordered sequence of applications executed back-to-back.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario name, e.g. `"mpegdec-tachyon"`.
     pub name: String,
