@@ -34,11 +34,10 @@ echo "== cargo bench --no-run (benches must compile) =="
 cargo bench --workspace --no-run
 
 echo "== bench_thermal --quick --gate (regenerate perf snapshot, 3x regression gates) =="
-# --gate bounds both die_advance_1s_ns and the large-floorplan
-# 16x16 adaptive_advance_1s_ns at 3x their committed numbers.
+# --gate bounds die_advance_1s_ns, die_tick_churn_ns, the large-floorplan
+# 16x16 adaptive_advance_1s_ns and the tracing-disabled trace_span_ns at
+# 3x their committed numbers, each fresh number a median of 5 rounds.
 cargo run --release -q -p thermorl-bench --bin bench_thermal -- --quick --gate
-grep -q '"batch"' BENCH_thermal.json \
-    || { echo "BENCH_thermal.json missing the batch section"; exit 1; }
 grep -q '"large"' BENCH_thermal.json \
     || { echo "BENCH_thermal.json missing the large-floorplan sweep"; exit 1; }
 grep -q '"32x32"' BENCH_thermal.json \
@@ -178,7 +177,7 @@ timeout 60 cargo run --release -q -p thermorl-bench --bin serve -- \
     shutdown --addr-file "$SERVE_DIR/addr2"
 wait "$SERVE_PID"
 
-echo "== trace selftest (client -> serve -> shard -> batch chain + Chrome schema) =="
+echo "== trace selftest (client -> serve -> shard -> thermal chain + Chrome schema) =="
 # In-process supervisor + loopback load with tracing on: exits nonzero
 # unless at least one trace spans the whole distributed chain, then the
 # exported Chrome trace must satisfy the trace-event schema Perfetto and
@@ -201,7 +200,7 @@ for e in events:
 assert complete > 0, "no complete (ph=X) span events"
 names = {e["name"] for e in events}
 for span in ("client.observe", "serve.request", "shard.observe",
-             "thermal.batch_step"):
+             "thermal.step"):
     assert span in names, f"chrome trace missing {span} spans"
 print(f"chrome trace OK: {len(events)} events, {complete} complete spans")
 EOF

@@ -6,10 +6,11 @@
 //! * `--quick` — fewer iterations (CI mode; same JSON shape).
 //! * `--out PATH` — output path (default `BENCH_thermal.json`).
 //! * `--gate` — regression gate: before overwriting the output file,
-//!   parse its committed `die_advance_1s_ns` and `die_tick_churn_ns` and
-//!   exit non-zero if either fresh number is more than 3x slower. A
-//!   missing or unparsable committed file is a warning, not a failure
-//!   (first run).
+//!   parse its committed `die_advance_1s_ns`, `die_tick_churn_ns`, 16×16
+//!   `adaptive_advance_1s_ns` and tracing-disabled `trace_span_ns`, and
+//!   exit non-zero, leaving the file untouched, if any fresh number is
+//!   more than 3x the committed one. A missing committed number is a
+//!   warning, not a failure (first run).
 //! * `--telemetry [PATH]` — record registry metrics during the scenario
 //!   measurement and write the snapshot to PATH (default
 //!   `telemetry.json`). Stepper timings and the disabled-overhead
@@ -20,13 +21,13 @@
 //! per-call cost of `counter!`/`span!`/`event!`/`trace_span!` while
 //! recording is off — one relaxed atomic load and a branch, expected
 //! well under 1 ns/op — plus a `tracing_overhead` object with the
-//! enabled-path cost of a traced span (`--gate` also bounds the
-//! tracing-disabled `trace_span_ns` at 3x the committed number).
+//! enabled-path cost of a traced span.
 //!
 //! Timing is manual `Instant`-based sampling (criterion is a
 //! dev-dependency and unavailable to bins): each measurement takes the
-//! median of several repetitions of a timed loop, which is robust to the
-//! occasional scheduler hiccup without criterion's machinery.
+//! median of several repetitions of a timed loop, and each gated number
+//! is the median of [`GATE_ROUNDS`] independent measurements, so one
+//! host hiccup cannot fail the gate on its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,7 +36,7 @@ use std::time::Instant;
 use thermorl_sim::json::Value;
 use thermorl_sim::{run_scenario, NullController, SimConfig};
 use thermorl_telemetry as tel;
-use thermorl_thermal::{DieBatch, DieModel, DieParams, Floorplan, Stepper, DENSE_STEADY_LIMIT};
+use thermorl_thermal::{DieModel, DieParams, Floorplan, Stepper, DENSE_STEADY_LIMIT};
 use thermorl_workload::{alpbench, DataSet, Scenario};
 
 /// `thermal/die_advance_1s` on the growth seed's dense forward-Euler
@@ -68,19 +69,72 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Median of `reps` timed loops of `iters` calls each, in ns per call.
-fn median_ns_per_iter(mut f: impl FnMut(), iters: u32, reps: u32) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            t0.elapsed().as_nanos() as f64 / f64::from(iters)
-        })
-        .collect();
+/// Independent measurements behind each gated number.
+const GATE_ROUNDS: usize = 5;
+
+/// A gated number fails when it exceeds this multiple of the committed one.
+const GATE_LIMIT: f64 = 3.0;
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     samples[samples.len() / 2]
+}
+
+/// Median of `reps` timed loops of `iters` calls each, in ns per call.
+fn median_ns_per_iter(mut f: impl FnMut(), iters: u32, reps: u32) -> f64 {
+    median(
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..iters {
+                    f();
+                }
+                t0.elapsed().as_nanos() as f64 / f64::from(iters)
+            })
+            .collect(),
+    )
+}
+
+/// A gated number: the median of [`GATE_ROUNDS`] calls of `measure`,
+/// each of which builds, warms and times its own state.
+fn gated(measure: impl FnMut() -> f64) -> f64 {
+    median(std::iter::repeat_with(measure).take(GATE_ROUNDS).collect())
+}
+
+/// The committed number at `path` in the previous output document.
+fn committed_at(doc: Option<&Value>, path: &[&str]) -> Option<f64> {
+    path.iter()
+        .try_fold(doc?, |v, key| v.get(key))
+        .and_then(Value::as_f64)
+}
+
+/// Compares each `(label, fresh, committed)` against [`GATE_LIMIT`]
+/// times the committed number and reports every comparison; returns
+/// whether all passed. A missing committed number skips its gate.
+fn gates_pass(gates: &[(&str, f64, Option<f64>)], out_path: &str) -> bool {
+    let mut pass = true;
+    for &(label, fresh, committed) in gates {
+        let Some(committed) = committed else {
+            eprintln!(
+                "bench_thermal: no committed {label} in {out_path}; gate skipped (first run?)"
+            );
+            continue;
+        };
+        let ratio = fresh / committed;
+        if ratio > GATE_LIMIT {
+            pass = false;
+            eprintln!(
+                "bench_thermal: GATE FAILED: {label} {fresh:.2} ns is {ratio:.2}x the committed \
+                 {committed:.2} ns (limit {GATE_LIMIT}x)"
+            );
+        } else {
+            println!(
+                "gate: {label} {fresh:.2} ns vs committed {committed:.2} ns \
+                 ({ratio:.2}x, limit {GATE_LIMIT}x)"
+            );
+        }
+    }
+    pass
 }
 
 fn quad_die() -> DieModel {
@@ -149,67 +203,61 @@ fn measure_tick_churn(floorplan: Floorplan, iters: u32, reps: u32) -> (f64, u64,
     (ns, allocs / 100, die.network().len())
 }
 
-/// A warmed-up [`DieBatch`] of `width` quad-core dies with per-die power
-/// profiles, ready for steady-state advance timing.
-fn quad_fleet(width: usize) -> DieBatch {
-    let proto = quad_die();
-    let mut batch = DieBatch::new(&proto, width);
-    for die in 0..width {
-        for core in 0..4 {
-            batch.set_core_power(die, core, 8.0 + ((die * 4 + core) % 9) as f64);
-        }
-    }
-    batch.advance(1.0); // builds the shared [E | F] block
-    batch
-}
-
-/// Measures one fleet-wide `advance(1.0)` for a batch of `width` dies and
-/// its per-advance heap allocation count in steady state. Returns
-/// (ns per fleet advance, allocs per fleet advance).
-fn measure_batch(width: usize, iters: u32, reps: u32) -> (f64, u64) {
-    let mut batch = quad_fleet(width);
-
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..100 {
-        batch.advance(1.0);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-
-    // Larger fleets do proportionally more work per advance; shrink the
-    // inner loop to keep each measurement's wall time roughly constant.
-    let iters = (iters / width as u32).max(200);
-    let ns = median_ns_per_iter(
-        || {
-            batch.advance(1.0);
-            std::hint::black_box(batch.core_temperature(0, 0));
-        },
-        iters,
-        reps,
-    );
-    (ns, allocs / 100)
-}
-
-/// One `large` sweep cell: an N×N grid die stepped by the adaptive
-/// embedded-RK controller under per-advance power churn (every core's
-/// power changes before each `advance(1.0)`, as the engine does every
-/// tick). Past [`DENSE_STEADY_LIMIT`] nodes the die runs matrix-free —
-/// CSR matvecs for the RK stages, Jacobi-CG for the steady solve —
-/// so the sweep shows the crossover from the dense exact propagator to
-/// the sparse path. Returns the JSON cell for `large.grids`.
-fn measure_large_grid(n: usize, iters: u32, reps: u32) -> (Value, f64) {
-    let cores = n * n;
-    let churn = |die: &mut DieModel, round: u64| {
-        for c in 0..cores {
-            die.set_core_power(c, 0.5 + ((round + c as u64) % 5) as f64);
-        }
-    };
-    let mut die = DieModel::new(
+/// An N×N grid die under `stepper`.
+fn grid_die(n: usize, stepper: Stepper) -> DieModel {
+    DieModel::new(
         Floorplan::grid(n, n),
         DieParams {
-            stepper: Stepper::adaptive(),
+            stepper,
             ..DieParams::default()
         },
-    );
+    )
+}
+
+/// The `large` sweep's per-advance power churn: every core's power
+/// changes before each `advance(1.0)`, as the engine does every tick.
+fn churn(die: &mut DieModel, round: u64) {
+    for c in 0..die.num_cores() {
+        die.set_core_power(c, 0.5 + ((round + c as u64) % 5) as f64);
+    }
+}
+
+/// Inner-loop length for an N×N cell: bigger grids cost proportionally
+/// more per advance, so every cell's wall time stays in the same
+/// ballpark.
+fn grid_iters(n: usize, iters: u32) -> u32 {
+    (iters / (n * n) as u32).max(20)
+}
+
+/// Median ns per churned `advance(1.0)` of a fresh N×N grid die under
+/// the adaptive embedded-RK controller, after one warm-up advance that
+/// seeds the warm-start dt.
+fn measure_adaptive_grid(n: usize, iters: u32, reps: u32) -> f64 {
+    let mut die = grid_die(n, Stepper::adaptive());
+    churn(&mut die, 0);
+    die.advance(1.0);
+    let mut round = 0u64;
+    median_ns_per_iter(
+        || {
+            churn(&mut die, round);
+            round += 1;
+            die.advance(1.0);
+            std::hint::black_box(die.core_temperature(0));
+        },
+        grid_iters(n, iters),
+        reps,
+    )
+}
+
+/// One `large` sweep cell around its timed adaptive advance: the
+/// adaptive path's allocations and accepted/rejected steps per churned
+/// advance, and the exact propagator for comparison. Past
+/// [`DENSE_STEADY_LIMIT`] nodes the die runs matrix-free — CSR matvecs
+/// for the RK stages, Jacobi-CG for the steady solve — so the sweep
+/// shows the crossover from the dense exact propagator to the sparse
+/// path. Returns the JSON cell for `large.grids`.
+fn large_grid_cell(n: usize, adaptive_ns: f64, iters: u32, reps: u32) -> Value {
+    let mut die = grid_die(n, Stepper::adaptive());
     let nodes = die.network().len();
     churn(&mut die, 0);
     die.advance(1.0); // warm-up seeds the warm-start dt
@@ -226,21 +274,6 @@ fn measure_large_grid(n: usize, iters: u32, reps: u32) -> (Value, f64) {
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     let accepted = (die.network().adaptive_steps() - steps0) as f64 / 50.0;
     let rejected = (die.network().step_rejections() - rej0) as f64 / 50.0;
-
-    // Bigger grids cost proportionally more per advance; shrink the inner
-    // loop so every cell's wall time stays in the same ballpark.
-    let g_iters = (iters / cores as u32).max(20);
-    let mut round = 0u64;
-    let adaptive_ns = median_ns_per_iter(
-        || {
-            churn(&mut die, round);
-            round += 1;
-            die.advance(1.0);
-            std::hint::black_box(die.core_temperature(0));
-        },
-        g_iters,
-        reps,
-    );
 
     let mut cell = Value::object();
     cell.set("nodes", Value::UInt(nodes as u64));
@@ -264,13 +297,7 @@ fn measure_large_grid(n: usize, iters: u32, reps: u32) -> (Value, f64) {
     // O(n²) step are still tolerable; past 16×16 the build alone would
     // dwarf the whole sweep, so the largest cell is adaptive-only.
     if n <= 16 {
-        let mut exact = DieModel::new(
-            Floorplan::grid(n, n),
-            DieParams {
-                stepper: Stepper::Exact,
-                ..DieParams::default()
-            },
-        );
+        let mut exact = grid_die(n, Stepper::Exact);
         churn(&mut exact, 0);
         let t0 = Instant::now();
         exact.advance(1.0); // builds [E | F]: expm(-C⁻¹A·dt) and (I − E)·A⁻¹
@@ -283,7 +310,7 @@ fn measure_large_grid(n: usize, iters: u32, reps: u32) -> (Value, f64) {
                 exact.advance(1.0);
                 std::hint::black_box(exact.core_temperature(0));
             },
-            g_iters,
+            grid_iters(n, iters),
             reps.min(3),
         );
         cell.set("exact_first_advance_ns", Value::num(first_ns));
@@ -296,7 +323,7 @@ fn measure_large_grid(n: usize, iters: u32, reps: u32) -> (Value, f64) {
             )),
         );
     }
-    (cell, adaptive_ns)
+    cell
 }
 
 /// Per-call cost of the telemetry macros while recording is off, in
@@ -329,13 +356,16 @@ fn measure_disabled_overhead() -> (f64, f64, f64, f64) {
         iters,
         reps,
     );
-    let trace_span_ns = median_ns_per_iter(
-        || {
-            let _g = tel::trace_span!("bench.disabled.trace");
-        },
-        iters,
-        reps,
-    );
+    // The one gated number here.
+    let trace_span_ns = gated(|| {
+        median_ns_per_iter(
+            || {
+                let _g = tel::trace_span!("bench.disabled.trace");
+            },
+            iters,
+            reps,
+        )
+    });
     (counter_ns, span_ns, event_ns, trace_span_ns)
 }
 
@@ -409,20 +439,6 @@ fn main() {
     } else {
         None
     };
-    let gate_baseline: Option<f64> = committed_doc
-        .as_ref()
-        .and_then(|doc| doc.get("die_advance_1s_ns").and_then(Value::as_f64));
-    let gate_trace_baseline: Option<f64> = committed_doc.as_ref().and_then(|doc| {
-        doc.get("telemetry_disabled_overhead")
-            .and_then(|o| o.get("trace_span_ns"))
-            .and_then(Value::as_f64)
-    });
-    if gate && gate_baseline.is_none() {
-        eprintln!(
-            "bench_thermal: --gate requested but no committed die_advance_1s_ns \
-             in {out_path}; gate skipped (first run?)"
-        );
-    }
 
     let mut doc = Value::object();
     doc.set("bench", Value::Str("bench_thermal".into()));
@@ -444,7 +460,12 @@ fn main() {
     doc.set("baseline", baseline);
 
     let stepper = Stepper::default();
-    let (default_ns, allocs) = measure_die_advance(iters, reps);
+    let mut allocs = 0;
+    let default_ns = gated(|| {
+        let (ns, a) = measure_die_advance(iters, reps);
+        allocs = allocs.max(a);
+        ns
+    });
     println!("die_advance_1s [{stepper}]: {default_ns:.0} ns/iter, {allocs} allocs/advance");
     let mut entry = Value::object();
     entry.set("die_advance_1s_ns", Value::num(default_ns));
@@ -458,21 +479,6 @@ fn main() {
     doc.set("speedup_vs_baseline", Value::num(speedup));
     println!("speedup vs seed baseline: {speedup:.1}x");
 
-    if let Some(committed) = gate_baseline {
-        let ratio = default_ns / committed;
-        if ratio > 3.0 {
-            eprintln!(
-                "bench_thermal: GATE FAILED: die_advance_1s {default_ns:.0} ns is {ratio:.2}x \
-                 the committed {committed:.0} ns (limit 3x); {out_path} left untouched"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "gate: die_advance_1s {default_ns:.0} ns vs committed {committed:.0} ns \
-             ({ratio:.2}x, limit 3x)"
-        );
-    }
-
     // Power churn every tick, as in the campaigns; the quad entry is gated.
     let mut churn_doc = Value::object();
     churn_doc.set(
@@ -484,7 +490,17 @@ fn main() {
         ("quad", Floorplan::quad()),
         ("grid_4x4", Floorplan::grid(4, 4)),
     ] {
-        let (ns, allocs, nodes) = measure_tick_churn(floorplan, iters * 25, reps);
+        let (mut allocs, mut nodes) = (0, 0);
+        let mut timed = || {
+            let (ns, a, n) = measure_tick_churn(floorplan, iters * 25, reps);
+            (allocs, nodes) = (allocs.max(a), n);
+            ns
+        };
+        let ns = if name == "quad" {
+            gated(timed)
+        } else {
+            timed()
+        };
         println!("die_tick_churn [{name}, {nodes} nodes]: {ns:.0} ns/tick, {allocs} allocs/tick");
         let mut entry = Value::object();
         entry.set("nodes", Value::UInt(nodes as u64));
@@ -497,64 +513,11 @@ fn main() {
     }
     doc.set("tick_churn", churn_doc);
     doc.set("die_tick_churn_ns", Value::num(quad_tick_ns));
-    let gate_churn_baseline: Option<f64> = committed_doc
-        .as_ref()
-        .and_then(|doc| doc.get("die_tick_churn_ns").and_then(Value::as_f64));
-    if let Some(committed) = gate_churn_baseline {
-        let ratio = quad_tick_ns / committed;
-        if ratio > 3.0 {
-            eprintln!(
-                "bench_thermal: GATE FAILED: die_tick_churn {quad_tick_ns:.0} ns is {ratio:.2}x \
-                 the committed {committed:.0} ns (limit 3x); {out_path} left untouched"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "gate: die_tick_churn {quad_tick_ns:.0} ns vs committed {committed:.0} ns \
-             ({ratio:.2}x, limit 3x)"
-        );
-    } else if gate {
-        eprintln!(
-            "bench_thermal: no committed die_tick_churn_ns in {out_path}; \
-             tick-churn gate skipped (first run?)"
-        );
-    }
-
-    // Batched stepping: fleets of quad-core dies sharing one propagator
-    // GEMM per advance. Telemetry is still off here, so the batch path's
-    // counter!/gauge! sites cost one relaxed load each and the
-    // allocs_per_advance numbers stay clean.
-    let mut batch_doc = Value::object();
-    batch_doc.set(
-        "workload",
-        Value::Str("N quad-core dies, per-die power profiles, advance(1.0 s)".into()),
-    );
-    let mut widths = Value::object();
-    let mut n512_rate = f64::NAN;
-    for width in [1usize, 8, 64, 512] {
-        let (fleet_ns, allocs) = measure_batch(width, iters, reps);
-        let rate = width as f64 / fleet_ns * 1e9;
-        println!(
-            "batch_advance_1s [N={width}]: {fleet_ns:.0} ns/fleet-advance, \
-             {rate:.3e} die-advances/s, {allocs} allocs/advance"
-        );
-        let mut entry = Value::object();
-        entry.set("fleet_advance_1s_ns", Value::num(fleet_ns));
-        entry.set("die_advances_per_sec", Value::num(rate));
-        entry.set("allocs_per_advance", Value::UInt(allocs));
-        widths.set(&width.to_string(), entry);
-        if width == 512 {
-            n512_rate = rate;
-        }
-    }
-    batch_doc.set("widths", widths);
-    batch_doc.set("die_advances_per_sec_n512", Value::num(n512_rate));
-
-    doc.set("batch", batch_doc);
 
     // Large-floorplan fast path: N×N grids under the adaptive stepper,
     // crossing from the dense exact regime into sparse matrix-free at
-    // DENSE_STEADY_LIMIT nodes. Telemetry is still off.
+    // DENSE_STEADY_LIMIT nodes; the 16×16 cell is gated. Telemetry is
+    // still off.
     let mut large_doc = Value::object();
     large_doc.set(
         "workload",
@@ -569,7 +532,9 @@ fn main() {
     let mut grids = Value::object();
     let mut adaptive_16_ns = f64::NAN;
     for n in [2usize, 4, 8, 16, 32] {
-        let (cell, adaptive_ns) = measure_large_grid(n, iters, reps);
+        let timed = || measure_adaptive_grid(n, iters, reps);
+        let adaptive_ns = if n == 16 { gated(timed) } else { timed() };
+        let cell = large_grid_cell(n, adaptive_ns, iters, reps);
         println!(
             "large_grid [{n}x{n}, {} nodes, {}]: adaptive {adaptive_ns:.0} ns/advance, \
              {} allocs, {} accepted / {} rejected steps per advance",
@@ -595,34 +560,6 @@ fn main() {
     large_doc.set("grids", grids);
     doc.set("large", large_doc);
 
-    let gate_large_baseline: Option<f64> = committed_doc.as_ref().and_then(|doc| {
-        doc.get("large")
-            .and_then(|l| l.get("grids"))
-            .and_then(|g| g.get("16x16"))
-            .and_then(|c| c.get("adaptive_advance_1s_ns"))
-            .and_then(Value::as_f64)
-    });
-    if let Some(committed) = gate_large_baseline {
-        let ratio = adaptive_16_ns / committed;
-        if ratio > 3.0 {
-            eprintln!(
-                "bench_thermal: GATE FAILED: 16x16 adaptive_advance_1s {adaptive_16_ns:.0} ns \
-                 is {ratio:.2}x the committed {committed:.0} ns (limit 3x); \
-                 {out_path} left untouched"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "gate: 16x16 adaptive_advance_1s {adaptive_16_ns:.0} ns vs committed \
-             {committed:.0} ns ({ratio:.2}x, limit 3x)"
-        );
-    } else if gate {
-        eprintln!(
-            "bench_thermal: no committed large.grids.16x16.adaptive_advance_1s_ns in \
-             {out_path}; large gate skipped (first run?)"
-        );
-    }
-
     let (counter_ns, span_ns, event_ns, trace_span_ns) = measure_disabled_overhead();
     println!(
         "telemetry disabled overhead: counter {counter_ns:.2} ns/op, \
@@ -636,20 +573,34 @@ fn main() {
     overhead.set("trace_span_ns", Value::num(trace_span_ns));
     doc.set("telemetry_disabled_overhead", overhead);
 
-    if let Some(committed) = gate_trace_baseline {
-        let ratio = trace_span_ns / committed;
-        if ratio > 3.0 {
-            eprintln!(
-                "bench_thermal: GATE FAILED: tracing-disabled trace_span \
-                 {trace_span_ns:.2} ns/op is {ratio:.2}x the committed {committed:.2} ns/op \
-                 (limit 3x); {out_path} left untouched"
-            );
+    if gate {
+        let committed = |path: &[&str]| committed_at(committed_doc.as_ref(), path);
+        let gates = [
+            (
+                "die_advance_1s",
+                default_ns,
+                committed(&["die_advance_1s_ns"]),
+            ),
+            (
+                "die_tick_churn",
+                quad_tick_ns,
+                committed(&["die_tick_churn_ns"]),
+            ),
+            (
+                "16x16 adaptive_advance_1s",
+                adaptive_16_ns,
+                committed(&["large", "grids", "16x16", "adaptive_advance_1s_ns"]),
+            ),
+            (
+                "tracing-disabled trace_span",
+                trace_span_ns,
+                committed(&["telemetry_disabled_overhead", "trace_span_ns"]),
+            ),
+        ];
+        if !gates_pass(&gates, &out_path) {
+            eprintln!("bench_thermal: {out_path} left untouched");
             std::process::exit(1);
         }
-        println!(
-            "gate: disabled trace_span {trace_span_ns:.2} ns/op vs committed \
-             {committed:.2} ns/op ({ratio:.2}x, limit 3x)"
-        );
     }
 
     // The enabled-path cost: what each span actually pays when a trace is

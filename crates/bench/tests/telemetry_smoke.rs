@@ -4,9 +4,8 @@
 //! (a) span timings for `engine.decide` and `thermal.step`,
 //! (b) the migrated `thermal.propagator_builds` counter, and
 //! (c) at least one `detect:inter` and one `detect:intra` event —
-//! plus the batched-stepping metrics: the `thermal.batch_advances`
-//! counter and `thermal.batch_width` gauge must land in both the JSON
-//! snapshot and the Prometheus rendering.
+//! plus the adaptive stepper's counters and gauge, which must land in
+//! both the JSON snapshot and the Prometheus rendering.
 //!
 //! One test only: the registry is process-global, and a second campaign
 //! running concurrently in this binary would bleed into the snapshot.
@@ -20,26 +19,8 @@ use thermorl_policy::PolicyId;
 use thermorl_runner::{Campaign, RunnerConfig};
 use thermorl_sim::json::Value;
 use thermorl_sim::{run_scenario, Observation, SimConfig, ThermalController};
-use thermorl_thermal::{DieBatch, DieModel, DieParams, Floorplan, RcNetworkBuilder, Stepper};
+use thermorl_thermal::{RcNetworkBuilder, Stepper};
 use thermorl_workload::{alpbench, DataSet, Scenario};
-
-/// Batch-width used by [`fleet_job`]; asserted back out of the gauge.
-const FLEET_WIDTH: usize = 8;
-
-/// Advances a small fleet through the batched stepper so the
-/// `thermal.batch_advances` counter and `thermal.batch_width` gauge have
-/// something to report.
-fn fleet_job(_seed: u64) -> u64 {
-    let proto = DieModel::new(Floorplan::quad(), DieParams::default());
-    let mut batch = DieBatch::new(&proto, FLEET_WIDTH);
-    for die in 0..FLEET_WIDTH {
-        batch.set_core_power(die, die % 4, 10.0 + die as f64);
-    }
-    for _ in 0..5 {
-        batch.advance(1.0);
-    }
-    batch.width() as u64
-}
 
 /// Drives the embedded adaptive stepper so its counters and gauge have
 /// something to report: a 500 s first trial step on a ~50 s time
@@ -159,7 +140,6 @@ fn telemetry_export_meets_acceptance_criteria() {
     let mut campaign: Campaign<u64> = Campaign::new("telemetry-smoke", 7);
     campaign.push("smoke/sim/0", sim_job);
     campaign.push("smoke/detect/0", detect_job);
-    campaign.push("smoke/fleet/0", fleet_job);
     campaign.push("smoke/adaptive/0", adaptive_job);
     campaign.push("smoke/zoo/0", zoo_job);
     let config = RunnerConfig {
@@ -198,27 +178,6 @@ fn telemetry_export_meets_acceptance_criteria() {
         .unwrap_or(0);
     assert!(builds >= 1, "thermal.propagator_builds missing or zero");
 
-    // Batched stepping: the fleet job's advances show up as a counter
-    // and its width as a gauge, in the JSON snapshot...
-    let batch_advances = doc
-        .get("counters")
-        .and_then(|c| c.get("thermal.batch_advances"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    assert!(
-        batch_advances >= 5,
-        "thermal.batch_advances missing or too low: {batch_advances}"
-    );
-    let batch_width = doc
-        .get("gauges")
-        .and_then(|g| g.get("thermal.batch_width"))
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    assert!(
-        (batch_width - FLEET_WIDTH as f64).abs() < f64::EPSILON,
-        "thermal.batch_width gauge should be {FLEET_WIDTH}, got {batch_width}"
-    );
-
     // Adaptive stepping: the embedded-RK controller's accepted/rejected
     // step counters and its live step-size gauge, in the JSON snapshot...
     let adaptive_steps = doc
@@ -249,14 +208,6 @@ fn telemetry_export_meets_acceptance_criteria() {
     // ...and in the Prometheus rendering of the live registry (names
     // sanitized `.` -> `_`).
     let prom = thermorl_telemetry::snapshot().to_prometheus();
-    assert!(
-        prom.contains("# TYPE thermal_batch_advances counter"),
-        "prometheus export missing thermal_batch_advances counter"
-    );
-    assert!(
-        prom.contains(&format!("thermal_batch_width {FLEET_WIDTH}")),
-        "prometheus export missing thermal_batch_width gauge:\n{prom}"
-    );
     assert!(
         prom.contains("# TYPE thermal_adaptive_steps counter"),
         "prometheus export missing thermal_adaptive_steps counter"

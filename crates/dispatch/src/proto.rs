@@ -15,7 +15,7 @@
 //! store therefore stays codec-free (like `checkpoint::merge`) and the
 //! final checkpoint is byte-identical to a serial run's, sorted by key.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use thermorl_sim::json::Value;
 use thermorl_telemetry::{slo_summary, summarize_traces, SloConfig, SloSummary, TraceSummary};
@@ -663,23 +663,37 @@ pub fn write_message<W: Write, M: WireMessage>(writer: &mut W, message: &M) -> i
     writer.flush()
 }
 
+/// Longest line [`read_message`] accepts, in bytes before the `\n`. The
+/// longest lines the workspace writes are `result` messages carrying a
+/// campaign checkpoint record (about 235 KB for `run_all`); the cap
+/// bounds what one peer can make a connection thread buffer.
+pub const MAX_LINE: usize = 8 << 20;
+
 /// Reads the next message. `Ok(None)` means the peer closed the
 /// connection cleanly; a malformed line is an error (the protocol has no
-/// resync point). Blank lines are skipped.
+/// resync point), and so is a line longer than [`MAX_LINE`], after at
+/// most `MAX_LINE + 1` bytes were read. Blank lines are skipped.
 pub fn read_message<R: BufRead, M: WireMessage>(reader: &mut R) -> io::Result<Option<M>> {
+    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+    let mut line = Vec::new();
     loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
+        line.clear();
+        let n = reader
+            .by_ref()
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut line)?;
         if n == 0 {
             return Ok(None);
         }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
+        if n > MAX_LINE && line.last() != Some(&b'\n') {
+            return Err(invalid(format!("line longer than {MAX_LINE} bytes")));
+        }
+        let text = std::str::from_utf8(&line).map_err(|e| invalid(e.to_string()))?;
+        let trimmed = text.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             continue;
         }
-        return M::parse(trimmed)
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
+        return M::parse(trimmed).map(Some).map_err(invalid);
     }
 }
 
@@ -807,6 +821,42 @@ mod tests {
             Some(Message::Done)
         );
         assert_eq!(read_message::<_, Message>(&mut reader).expect("read"), None);
+    }
+
+    #[test]
+    fn unterminated_line_past_the_cap_is_an_error() {
+        let mut reader = std::io::Cursor::new(vec![b'a'; 32 << 20]);
+        let err = read_message::<_, Message>(&mut reader).expect_err("line over MAX_LINE");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            reader.position() <= MAX_LINE as u64 + 1,
+            "read {} bytes before giving up",
+            reader.position()
+        );
+    }
+
+    #[test]
+    fn result_line_of_exactly_max_line_bytes_parses() {
+        let result = |line: String| Message::Result {
+            worker: "w".into(),
+            lease_id: 1,
+            line,
+            trace: None,
+        };
+        let overhead = result(String::new()).to_line().len();
+        let message = result("a".repeat(MAX_LINE - overhead));
+        let mut wire = Vec::new();
+        write_message(&mut wire, &message).expect("write");
+        assert_eq!(wire.len(), MAX_LINE + 1, "MAX_LINE bytes plus the newline");
+        let mut reader = std::io::Cursor::new(wire);
+        let back = read_message::<_, Message>(&mut reader).expect("read");
+        assert_eq!(back, Some(message));
+
+        // One byte more is over the cap.
+        let mut wire = Vec::new();
+        write_message(&mut wire, &result("a".repeat(MAX_LINE - overhead + 1))).expect("write");
+        let mut reader = std::io::Cursor::new(wire);
+        assert!(read_message::<_, Message>(&mut reader).is_err());
     }
 
     #[test]

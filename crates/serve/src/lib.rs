@@ -33,8 +33,8 @@
 //!
 //! `serve run --trace` turns on distributed tracing: every observe
 //! carrying a `traceparent` joins the client's trace, and the request's
-//! spans — connection thread, shard worker, batched thermal step — nest
-//! under it. `--chrome PATH` exports the recorded spans as Chrome
+//! spans — connection thread, shard worker, thermal step — nest under
+//! it. `--chrome PATH` exports the recorded spans as Chrome
 //! trace-event JSON on shutdown (open it at <https://ui.perfetto.dev>),
 //! `--flight PATH` arms the flight recorder (panic / SIGUSR1 dump of the
 //! last spans and events), and `--slo-objective-us` sets the latency
@@ -43,7 +43,6 @@
 
 #![deny(missing_docs)]
 
-pub(crate) mod batcher;
 pub mod bench;
 pub mod proto;
 pub mod selftest;
@@ -59,7 +58,7 @@ use thermorl_telemetry as tel;
 pub use bench::{run_bench, BenchConfig, BenchReport};
 pub use proto::{Decision, Message, StatsReport, SERVE_PROTOCOL_VERSION};
 pub use selftest::{run_trace_selftest, TraceSelftest};
-pub use session::{BeginOutcome, Session, SessionMode, StepOutcome};
+pub use session::{Session, SessionMode, StepOutcome};
 pub use supervisor::{ServeConfig, ServeReport, Supervisor, SupervisorHandle};
 
 use thermorl_dispatch::proto::{read_message, write_message};
@@ -129,7 +128,7 @@ fn parse_f64(flag: &str, value: Option<String>) -> Result<f64, String> {
 /// * `selftest-trace` — run the in-process end-to-end trace selftest and
 ///   export the Chrome trace (`--out PATH`, default `serve-trace.json`);
 ///   exits nonzero unless a complete client → serve → shard →
-///   batch-step trace was recorded.
+///   thermal-step trace was recorded.
 /// * `shutdown` — stop the supervisor; `--hard` skips the final
 ///   snapshot pass (crash simulation).
 ///

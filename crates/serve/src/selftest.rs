@@ -6,8 +6,8 @@
 //! complete distributed trace: a `client.observe` root, a
 //! `serve.request` on the connection thread parented to it, a
 //! `shard.observe` on the shard worker parented to that, and a
-//! `thermal.batch_step` parented to a `shard.observe` (the batched
-//! thermal advance the observe rode in). The verified trace is exported
+//! `thermal.step` parented to the `shard.observe` (the die advance the
+//! observe made). The verified trace is exported
 //! as Chrome trace-event JSON so CI can validate the schema and anyone
 //! can load it into Perfetto.
 
@@ -29,7 +29,7 @@ pub struct TraceSelftest {
     /// Distinct trace ids seen.
     pub traces: usize,
     /// Trace ids whose span tree contains the full
-    /// client → serve → shard → batch-step chain.
+    /// client → serve → shard → thermal-step chain.
     pub full_chains: usize,
     /// One such trace id (the evidence; zero only on failure).
     pub chain_trace: u64,
@@ -72,13 +72,13 @@ fn parent_of<'a>(
 }
 
 /// Counts traces whose span tree contains the full distributed chain
-/// `client.observe ← serve.request ← shard.observe ← thermal.batch_step`,
+/// `client.observe ← serve.request ← shard.observe ← thermal.step`,
 /// returning `(count, one trace id)`.
 fn full_chains(spans: &[SpanRecord]) -> (usize, u64) {
     let by_span: HashMap<u64, &SpanRecord> = spans.iter().map(|r| (r.span_id, r)).collect();
     let mut chains = 0;
     let mut witness = 0;
-    for step in spans.iter().filter(|r| r.name == "thermal.batch_step") {
+    for step in spans.iter().filter(|r| r.name == "thermal.step") {
         let Some(observe) = parent_of(&by_span, step).filter(|p| p.name == "shard.observe") else {
             continue;
         };
@@ -160,7 +160,7 @@ pub fn run_trace_selftest(out: Option<&Path>) -> Result<TraceSelftest, String> {
     }
     if chains == 0 {
         return Err(format!(
-            "no complete client→serve→shard→batch trace among {} spans in {} traces",
+            "no complete client→serve→shard→thermal trace among {} spans in {} traces",
             selftest.spans, selftest.traces
         ));
     }

@@ -26,6 +26,7 @@ use thermorl_platform::CounterSnapshot;
 use thermorl_policy::{Policy, PolicyId};
 use thermorl_sim::json::Value;
 use thermorl_sim::Observation;
+use thermorl_telemetry as tel;
 use thermorl_thermal::{DieModel, DieParams, Floorplan, SensorBank, SensorParams};
 
 use crate::proto::Decision;
@@ -82,20 +83,6 @@ pub struct StepOutcome {
     pub duplicate: bool,
     /// Present when the sample closed a decision epoch.
     pub decision: Option<Decision>,
-}
-
-/// The result of [`Session::begin_step`] — phase 1 of a (possibly
-/// batched) observe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BeginOutcome {
-    /// Retransmit at or below the high-water mark; nothing was applied
-    /// and there is no die to advance.
-    Duplicate,
-    /// The sample validated and (in power mode) its per-core watts were
-    /// applied to the die model. The model must now advance one sampling
-    /// interval — inline or inside a shard batch — before
-    /// [`Session::finish_step`].
-    Ready,
 }
 
 /// One managed die's live state.
@@ -191,40 +178,22 @@ impl Session {
         self.cores
     }
 
-    /// Applies one observe sample: [`Session::begin_step`], a scalar model
-    /// advance, then [`Session::finish_step`]. The shard batcher runs the
-    /// same three phases but advances many dies at once between the first
-    /// and last — bit-identically, because the batched advance is
-    /// bit-exact against the scalar one.
+    /// Applies one observe sample: validates the sequence number and
+    /// payload; in power mode applies the per-core watts, advances the die
+    /// one sampling interval (inside a `thermal.step` trace span, a child
+    /// of the caller's live span) and reads it through the sensor bank;
+    /// then drives the policy one sample and records `seq` as applied.
     ///
     /// # Errors
     ///
     /// Fails on a sequence gap or a payload whose length does not match
     /// the core count.
     pub fn step(&mut self, seq: u64, values: &[f64]) -> Result<StepOutcome, String> {
-        match self.begin_step(seq, values)? {
-            BeginOutcome::Duplicate => Ok(StepOutcome {
+        if seq <= self.seq {
+            return Ok(StepOutcome {
                 duplicate: true,
                 decision: None,
-            }),
-            BeginOutcome::Ready => {
-                self.advance_model();
-                Ok(self.finish_step(seq, values))
-            }
-        }
-    }
-
-    /// Phase 1 of an observe: sequence/payload validation, plus applying
-    /// the per-core watts to the die model in power mode. Leaves the die
-    /// un-advanced so a shard batch can advance many sessions together.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a sequence gap or a payload whose length does not match
-    /// the core count.
-    pub fn begin_step(&mut self, seq: u64, values: &[f64]) -> Result<BeginOutcome, String> {
-        if seq <= self.seq {
-            return Ok(BeginOutcome::Duplicate);
+            });
         }
         if seq != self.seq + 1 {
             return Err(format!(
@@ -241,47 +210,15 @@ impl Session {
                 self.die
             ));
         }
-        if self.mode == SessionMode::Power {
-            let model = self.model.as_mut().expect("power mode has a model");
-            for (core, watts) in values.iter().enumerate() {
-                model.set_core_power(core, *watts);
-            }
-        }
-        Ok(BeginOutcome::Ready)
-    }
-
-    /// Advances the die model by one sampling interval — the scalar
-    /// between-phases step (no-op in temps mode). The shard batcher
-    /// replaces this with a [`thermorl_thermal::DieBatch`] advance.
-    pub(crate) fn advance_model(&mut self) {
-        if let Some(model) = self.model.as_mut() {
-            model.advance(self.sampling_interval);
-        }
-    }
-
-    /// The sampling interval (s) one observe advances the die by.
-    pub(crate) fn sampling_interval(&self) -> f64 {
-        self.sampling_interval
-    }
-
-    /// The die model (power mode only).
-    pub(crate) fn model(&self) -> Option<&DieModel> {
-        self.model.as_ref()
-    }
-
-    /// Mutable die model (power mode only).
-    pub(crate) fn model_mut(&mut self) -> Option<&mut DieModel> {
-        self.model.as_mut()
-    }
-
-    /// Phase 2 of an observe: reads the (already advanced) die through
-    /// the sensor bank, drives the agent one sample, and records `seq` as
-    /// applied. Only call after [`Session::begin_step`] returned
-    /// [`BeginOutcome::Ready`] and the model advanced.
-    pub fn finish_step(&mut self, seq: u64, values: &[f64]) -> StepOutcome {
         let temps = match self.mode {
             SessionMode::Power => {
-                let model = self.model.as_ref().expect("power mode has a model");
+                let model = self.model.as_mut().expect("power mode has a model");
+                for (core, watts) in values.iter().enumerate() {
+                    model.set_core_power(core, *watts);
+                }
+                let step = tel::TraceSpan::child("thermal.step");
+                model.advance(self.sampling_interval);
+                drop(step);
                 let sensors = self.sensors.as_mut().expect("power mode has sensors");
                 sensors.read_all(&model.core_temperatures())
             }
@@ -317,10 +254,10 @@ impl Session {
                 alpha: d.alpha,
             }
         });
-        StepOutcome {
+        Ok(StepOutcome {
             duplicate: false,
             decision,
-        }
+        })
     }
 
     /// Whether the last applied sample closed a decision epoch (i.e. the

@@ -19,7 +19,7 @@
 //! every one, and on startup the supervisor resolves last-wins per die,
 //! then compacts the store down to one line per die.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter};
 use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream};
@@ -38,9 +38,8 @@ use thermorl_runner::{job_seed, shard_of};
 use thermorl_sim::json::Value;
 use thermorl_telemetry as tel;
 
-use crate::batcher::{PendingObserve, ShardBatcher};
 use crate::proto::{Message, StatsReport, SERVE_PROTOCOL_VERSION};
-use crate::session::{BeginOutcome, Session, SessionMode, SNAPSHOT_STATUS};
+use crate::session::{Session, SessionMode, SNAPSHOT_STATUS};
 
 /// Supervisor configuration.
 #[derive(Debug, Clone)]
@@ -437,20 +436,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     Ok(())
 }
 
-/// Most requests a shard drains from its channel into one micro-batch
-/// before processing (bounds batch latency and per-flush memory).
-const MAX_DRAIN: usize = 256;
-
 /// One session worker: owns every session whose die hashes to it.
 ///
-/// Requests are drained in micro-batches: one blocking `recv`, then
-/// whatever else is already queued. Power-mode observes that validate
-/// cleanly park in a [`PendingObserve`] list — their dies advance
-/// *together* through the shard's [`ShardBatcher`] (one propagator GEMM
-/// per same-shape group) — while everything else flushes the batch first
-/// and is handled inline, preserving strict FIFO effects. With a single
-/// client streaming one die the drain holds one request and behaviour is
-/// identical to unbatched serving, bit for bit.
+/// Requests are handled one at a time, in channel order, each under a
+/// `shard.observe` (observes) or `shard.handle` (attach, detach) span
+/// parented to its connection thread's `serve.request`. A die's
+/// decisions depend on its own samples only, so no request shares work
+/// with another.
 fn run_shard(
     rx: Receiver<ShardRequest>,
     mut pending: HashMap<String, Value>,
@@ -460,172 +452,21 @@ fn run_shard(
     cfg: ServeConfig,
 ) {
     let mut sessions: HashMap<String, Session> = HashMap::new();
-    let mut batcher = ShardBatcher::new();
-    let mut queue: VecDeque<ShardRequest> = VecDeque::new();
-    let mut batch: Vec<PendingObserve> = Vec::new();
-    loop {
-        match rx.recv() {
-            Ok(req) => queue.push_back(req),
-            Err(_) => break,
-        }
-        while queue.len() < MAX_DRAIN {
-            match rx.try_recv() {
-                Ok(req) => queue.push_back(req),
-                Err(_) => break,
-            }
-        }
-        while let Some(req) = queue.pop_front() {
-            match try_admit(req, &mut sessions, &mut batch) {
-                None => {}
-                Some(req) => {
-                    // Not batchable: flush what's pending (keeping FIFO
-                    // effect order), then handle inline.
-                    flush_batch(
-                        &mut batcher,
-                        &mut batch,
-                        &mut sessions,
-                        &store,
-                        &stats,
-                        &cfg,
-                    );
-                    let _g = tel::TraceSpan::with_parent("shard.handle", req.ctx);
-                    let reply = handle_shard_message(
-                        req.msg,
-                        &mut sessions,
-                        &mut pending,
-                        &store,
-                        &stats,
-                        &cfg,
-                    );
-                    // The client may have hung up; a dead reply channel
-                    // is fine.
-                    let _ = req.reply.send(reply);
-                }
-            }
-        }
-        flush_batch(
-            &mut batcher,
-            &mut batch,
-            &mut sessions,
-            &store,
-            &stats,
-            &cfg,
-        );
+    for req in rx {
+        let name = match req.msg {
+            Message::Observe { .. } => "shard.observe",
+            _ => "shard.handle",
+        };
+        let _span = tel::TraceSpan::with_parent(name, req.ctx);
+        let reply =
+            handle_shard_message(req.msg, &mut sessions, &mut pending, &store, &stats, &cfg);
+        // The client may have hung up; a dead reply channel is fine.
+        let _ = req.reply.send(reply);
     }
     if !hard.load(Ordering::SeqCst) {
         for session in sessions.values() {
             write_snapshot(session, &store, &stats);
         }
-    }
-}
-
-/// Admits `req` to the current micro-batch when it is a power-mode
-/// observe that will advance its die (in-sequence, right payload length,
-/// die not already pending this batch). Returns the request back when it
-/// must be handled inline instead.
-fn try_admit(
-    req: ShardRequest,
-    sessions: &mut HashMap<String, Session>,
-    batch: &mut Vec<PendingObserve>,
-) -> Option<ShardRequest> {
-    let admissible = if let Message::Observe {
-        die, seq, values, ..
-    } = &req.msg
-    {
-        !batch.iter().any(|p| &p.die == die)
-            && sessions.get(die).is_some_and(|s| {
-                s.mode() == SessionMode::Power && *seq == s.seq() + 1 && values.len() == s.cores()
-            })
-    } else {
-        false
-    };
-    if !admissible {
-        return Some(req);
-    }
-    let Message::Observe {
-        die, seq, values, ..
-    } = req.msg
-    else {
-        unreachable!("admissibility checked above")
-    };
-    // The observe's span lives in the pending entry: it opens here, spans
-    // the batched advance, and closes right after the ack is sent.
-    let span = tel::TraceSpan::with_parent("shard.observe", req.ctx);
-    let session = sessions.get_mut(&die).expect("admissibility checked above");
-    match session.begin_step(seq, &values) {
-        Ok(BeginOutcome::Ready) => {
-            batch.push(PendingObserve {
-                die,
-                seq,
-                values,
-                span: Some(span),
-                reply: req.reply,
-            });
-            None
-        }
-        // Unreachable given the admissibility checks, but degrade to the
-        // scalar protocol answers rather than panicking a shard.
-        Ok(BeginOutcome::Duplicate) => {
-            let _ = req.reply.send(Message::Ack {
-                die,
-                seq,
-                duplicate: true,
-                decision: None,
-            });
-            None
-        }
-        Err(message) => {
-            let _ = req.reply.send(Message::Error { message });
-            None
-        }
-    }
-}
-
-/// Advances every pending die (grouped through the batcher), then
-/// finishes each observe in admission order: sensor read, agent sample,
-/// stats, epoch snapshots, and the `Ack` reply.
-fn flush_batch(
-    batcher: &mut ShardBatcher,
-    batch: &mut Vec<PendingObserve>,
-    sessions: &mut HashMap<String, Session>,
-    store: &Arc<Mutex<CheckpointStore>>,
-    stats: &Arc<Stats>,
-    cfg: &ServeConfig,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    // The shared thermal step belongs to the first member's trace (so at
-    // least one client trace contains the batch step end to end) and
-    // links to every member it fanned in.
-    let mut step = tel::TraceSpan::with_parent(
-        "thermal.batch_step",
-        batch[0].span.as_ref().and_then(tel::TraceSpan::context),
-    );
-    for p in batch.iter().skip(1) {
-        if let Some(ctx) = p.span.as_ref().and_then(tel::TraceSpan::context) {
-            step.add_link(ctx);
-        }
-    }
-    batcher.advance(batch, sessions);
-    drop(step);
-    for p in batch.drain(..) {
-        let session = sessions.get_mut(&p.die).expect("pending die is attached");
-        let outcome = session.finish_step(p.seq, &p.values);
-        stats.observes_total.fetch_add(1, Ordering::Relaxed);
-        if outcome.decision.is_some() {
-            stats.decisions_total.fetch_add(1, Ordering::Relaxed);
-            tel::counter!("serve.decisions_total");
-            if cfg.snapshot_every > 0 && session.epochs().is_multiple_of(cfg.snapshot_every) {
-                write_snapshot(session, store, stats);
-            }
-        }
-        let _ = p.reply.send(Message::Ack {
-            die: p.die,
-            seq: p.seq,
-            duplicate: false,
-            decision: outcome.decision,
-        });
     }
 }
 

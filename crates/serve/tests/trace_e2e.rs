@@ -1,7 +1,7 @@
 //! End-to-end distributed tracing over loopback TCP: the acceptance
 //! check that one trace spans client → supervisor connection thread →
-//! shard worker → batched thermal step, with correct parent/child
-//! nesting, and that the exported Chrome trace is well-formed.
+//! shard worker → thermal step, with correct parent/child nesting, and
+//! that the exported Chrome trace is well-formed.
 
 use thermorl_serve::run_trace_selftest;
 use thermorl_sim::json::Value;
@@ -16,7 +16,7 @@ fn one_trace_spans_client_to_batch_step() {
     assert!(selftest.traces > 1, "distinct requests got distinct traces");
     assert!(
         selftest.full_chains > 0,
-        "at least one complete client→serve→shard→batch chain"
+        "at least one complete client→serve→shard→thermal chain"
     );
     assert_ne!(selftest.chain_trace, 0, "the witness trace id is real");
     assert!(selftest.slo_count > 0, "the SLO tracker saw requests");

@@ -63,14 +63,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Returns the config with the thermal integrator replaced — e.g. to
-    /// pin a run to forward Euler or RK4 for cross-validation against the
-    /// default [`thermorl_thermal::Stepper::Exact`].
-    pub fn with_stepper(mut self, stepper: thermorl_thermal::Stepper) -> Self {
-        self.die.stepper = stepper;
-        self
-    }
-
     /// The floorplan this config simulates: the explicit override when
     /// set, otherwise the default shape for the scheduler's core count.
     /// Shared by [`Simulation::new`] and [`crate::run_concurrent`] so
@@ -209,8 +201,7 @@ impl Simulation {
 
         let apps: Vec<AppModel> = self.scenario.apps.clone();
         'apps: for (app_idx, app) in apps.iter().enumerate() {
-            for (i, &id) in thread_ids.iter().enumerate() {
-                let _ = i;
+            for &id in &thread_ids {
                 self.machine.set_memory_intensity(id, app.mem_intensity);
             }
             let mut exec = AppExecution::new(app.clone(), self.seed.wrapping_add(app_idx as u64));

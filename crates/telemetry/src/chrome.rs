@@ -5,9 +5,8 @@
 //! directly: spans become `"X"` (complete) events with microsecond
 //! `ts`/`dur`, placed on one lane per recording thread; registry events
 //! become `"i"` (instant) marks on the same timeline. Trace identity
-//! travels in `args` (`trace`/`span`/`parent` as 16-hex strings, plus
-//! fan-in `links`), so a batch span's membership is inspectable in the
-//! UI even though the format itself has no link concept.
+//! travels in `args` (`trace`/`span`/`parent` as 16-hex strings), so a
+//! span's place in its trace is inspectable in the UI.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
@@ -17,23 +16,17 @@ use crate::registry::Snapshot;
 use crate::trace::SpanRecord;
 
 fn span_entry(s: &SpanRecord) -> String {
-    let links: Vec<String> = s
-        .links
-        .iter()
-        .map(|l| format!("\"{:016x}/{:016x}\"", l.trace_id, l.span_id))
-        .collect();
     format!(
         "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
          \"pid\":1,\"tid\":{},\"args\":{{\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\
-         \"parent\":\"{:016x}\",\"links\":[{}]}}}}",
+         \"parent\":\"{:016x}\"}}}}",
         json_escape(s.name),
         s.start_us,
         s.dur_us.max(1),
         s.thread,
         s.trace_id,
         s.span_id,
-        s.parent_id,
-        links.join(",")
+        s.parent_id
     )
 }
 
@@ -79,7 +72,6 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::SpanContext;
 
     fn span(seq: u64, start: u64, dur: u64) -> SpanRecord {
         SpanRecord {
@@ -91,7 +83,6 @@ mod tests {
             start_us: start,
             dur_us: dur,
             thread: 3,
-            links: Vec::new(),
         }
     }
 
@@ -122,17 +113,6 @@ mod tests {
         let first_x = json.find("\"ph\":\"X\"").expect("first span");
         let last_x = json.rfind("\"ph\":\"X\"").expect("second span");
         assert!(first_x < instant && instant < last_x, "seq interleave");
-    }
-
-    #[test]
-    fn links_carry_member_contexts() {
-        let mut s = span(0, 0, 9);
-        s.links.push(SpanContext {
-            trace_id: 0xC0FFEE,
-            span_id: 0x1234,
-        });
-        let json = chrome_trace_json(&[s], &[]);
-        assert!(json.contains("\"links\":[\"0000000000c0ffee/0000000000001234\"]"));
     }
 
     #[test]

@@ -242,14 +242,9 @@ fn event_json(e: &crate::events::Event) -> String {
 // Trace/span ids export as 16-hex strings: u64 values exceed the 2^53
 // integers JSON consumers can hold losslessly.
 fn span_record_json(s: &SpanRecord) -> String {
-    let links: Vec<String> = s
-        .links
-        .iter()
-        .map(|l| format!("\"{:016x}/{:016x}\"", l.trace_id, l.span_id))
-        .collect();
     format!(
         "{{\"seq\":{},\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\",\
-         \"name\":\"{}\",\"start_us\":{},\"dur_us\":{},\"thread\":{},\"links\":[{}]}}",
+         \"name\":\"{}\",\"start_us\":{},\"dur_us\":{},\"thread\":{}}}",
         s.seq,
         s.trace_id,
         s.span_id,
@@ -257,8 +252,7 @@ fn span_record_json(s: &SpanRecord) -> String {
         json_escape(s.name),
         s.start_us,
         s.dur_us,
-        s.thread,
-        links.join(",")
+        s.thread
     )
 }
 
@@ -327,7 +321,6 @@ mod tests {
             start_us: 5,
             dur_us: 17,
             thread: 2,
-            links: Vec::new(),
         });
         snap.trace_spans_dropped = 4;
         snap.shard_occupancy.push(crate::registry::RingOccupancy {

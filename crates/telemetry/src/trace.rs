@@ -7,7 +7,7 @@
 //! [`SpanContext`] — a `(trace_id, span_id)` pair drawn from the same
 //! splitmix64 machinery the runner derives job seeds with — and records a
 //! [`SpanRecord`] into a bounded per-thread ring on drop. Parentage comes
-//! from three places:
+//! from two places:
 //!
 //! * **the thread** — [`TraceSpan::child`] nests under the innermost
 //!   live span on the calling thread (a thread-local stack, popped by
@@ -15,9 +15,7 @@
 //! * **the wire** — [`SpanContext::to_traceparent`] renders a W3C-style
 //!   `traceparent` string (`00-<trace>-<span>-01`) that rides as an
 //!   optional field on dispatch/serve messages; the receiving side
-//!   resumes the trace with [`TraceSpan::with_parent`];
-//! * **links** — a batch span that serves many requests at once is a
-//!   root with [`TraceSpan::add_link`]ed member contexts (fan-in).
+//!   resumes the trace with [`TraceSpan::with_parent`].
 //!
 //! Recording is gated separately from metrics: spans time themselves
 //! whenever telemetry is [`crate::enabled`] (feeding the aggregate
@@ -93,9 +91,6 @@ pub struct SpanRecord {
     /// Small per-thread id (stable within the process) for timeline
     /// lanes.
     pub thread: u64,
-    /// Fan-in links: contexts this span served but is not a child of
-    /// (e.g. the members of a thermal batch step).
-    pub links: Vec<SpanContext>,
 }
 
 /// Default per-thread trace ring capacity.
@@ -291,7 +286,6 @@ pub struct TraceSpan {
     start_us: u64,
     ctx: Option<SpanContext>,
     parent_id: u64,
-    links: Vec<SpanContext>,
     on_stack: bool,
 }
 
@@ -304,7 +298,6 @@ impl TraceSpan {
                 start_us: 0,
                 ctx: None,
                 parent_id: 0,
-                links: Vec::new(),
                 on_stack: false,
             };
         }
@@ -334,7 +327,6 @@ impl TraceSpan {
             start_us,
             ctx,
             parent_id,
-            links: Vec::new(),
             on_stack,
         }
     }
@@ -386,14 +378,6 @@ impl TraceSpan {
         self.ctx
     }
 
-    /// Adds a fan-in link: `ctx` was served by this span without being
-    /// its parent (batch members). No-op when tracing is off.
-    pub fn add_link(&mut self, ctx: SpanContext) {
-        if self.ctx.is_some() {
-            self.links.push(ctx);
-        }
-    }
-
     /// Abandons the span without recording anything.
     pub fn cancel(mut self) {
         if self.on_stack {
@@ -429,7 +413,6 @@ impl Drop for TraceSpan {
                 start_us: self.start_us,
                 dur_us: ns / 1000,
                 thread: ids::thread_id(),
-                links: std::mem::take(&mut self.links),
             });
         }
     }
@@ -541,7 +524,6 @@ mod tests {
                 start_us: i,
                 dur_us: 1,
                 thread: 1,
-                links: Vec::new(),
             });
         }
         assert_eq!(log.len(), 2);
@@ -568,7 +550,6 @@ mod tests {
             start_us: start,
             dur_us: dur,
             thread: 1,
-            links: Vec::new(),
         };
         let spans = vec![
             span(0, 7, 1, 0, 10, 100), // root of trace 7

@@ -241,7 +241,8 @@ pub struct DieModel {
     floorplan: Floorplan,
     params: DieParams,
     network: RcNetwork,
-    core_nodes: Vec<NodeId>,
+    /// The network node of each core, indexed by core id.
+    pub(crate) core_nodes: Vec<NodeId>,
     spreader: NodeId,
     sink: NodeId,
 }
@@ -455,23 +456,6 @@ impl DieModel {
     /// Access to the underlying network (e.g. for custom instrumentation).
     pub fn network(&self) -> &RcNetwork {
         &self.network
-    }
-
-    /// The network node of each core, indexed by core id — the map
-    /// [`crate::DieBatch`] uses to address core powers inside a batch.
-    pub fn core_nodes(&self) -> &[NodeId] {
-        &self.core_nodes
-    }
-
-    /// Overrides all node temperatures (network node order) without
-    /// touching powers or ambient — how a batched advance writes its
-    /// result back into the die it was copied from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `temps` does not cover every network node.
-    pub fn set_node_temperatures(&mut self, temps: &[f64]) {
-        self.network.set_temperatures(temps);
     }
 
     /// The die's full mutable thermal state — `(node temperatures,

@@ -10,8 +10,9 @@
 //!   ([`Stepper`]), with an analytic steady state obtained by LU
 //!   decomposition ([`linalg`]) on small networks or matrix-free
 //!   conjugate gradient on large ones.
-//! * [`rk`] — embedded adaptive Runge–Kutta tableaus ([`rk::RkTable`])
-//!   behind [`Stepper::Adaptive`], the large-floorplan fast path.
+//! * [`rk`] — the embedded Dormand–Prince 5(4) pair
+//!   ([`rk::DormandPrince54`]) behind [`Stepper::Adaptive`], the
+//!   large-floorplan fast path.
 //! * [`Floorplan`] / [`DieModel`] — a grid-of-cores die description and the
 //!   standard core + spreader + heatsink network built from it, with
 //!   optional per-core big.LITTLE classes ([`HeteroMix`]).
@@ -33,7 +34,6 @@
 
 #![deny(missing_docs)]
 
-pub mod batch;
 pub mod floorplan;
 pub mod linalg;
 pub mod network;
@@ -42,7 +42,6 @@ pub mod sensor;
 mod sparse;
 pub mod stepper;
 
-pub use batch::{DieBatch, NetworkBatch};
 pub use floorplan::{DieModel, DieParams, Floorplan, HeteroMix};
 pub use network::{NodeId, RcNetwork, RcNetworkBuilder, DENSE_STEADY_LIMIT};
 pub use sensor::{SensorBank, SensorParams, ThermalSensor};

@@ -295,71 +295,36 @@ impl Matrix {
     }
 }
 
-/// `out = A·X` for a `rows × k` matrix `A` stored column by column
+/// `out = A·x` for a `rows × k` matrix `A` stored column by column
 /// (`a_cols[c * rows + r]` is `A[r, c]`, `k = a_cols.len() / rows`) and a
-/// block `X` of `ncols` column vectors stored node-major (`X[c, j]` at
-/// `x[c * ncols + j]`), writing the `rows × ncols` product node-major.
-///
-/// This is the one product kernel of the exact stepper: the scalar
-/// network is the `ncols = 1` case and [`crate::NetworkBatch`] passes its
-/// fleet width. Every output element starts from `0.0` and adds the
-/// products `A[r, c]·X[c, j]` in ascending `c`, whatever the width and
-/// the blocking, so a die stepped inside a batch is bit-for-bit the die
-/// stepped alone. Both paths keep their partial sums in registers: a
-/// single column walks `A`'s contiguous columns a block of rows at a
-/// time (`rows_block`); wider blocks keep an 8-wide accumulator strip
-/// per row that sweeps contiguous rows of `X` (the node-major layout is
-/// what makes the sweep contiguous).
+/// vector `x` of length `k` — the one product kernel of the exact
+/// stepper. Every output element starts from `0.0` and adds the products
+/// `A[r, c]·x[c]` in ascending `c`, walking `A`'s contiguous columns a
+/// block of rows at a time with the block's partial sums held in
+/// registers (`rows_block`).
 ///
 /// # Panics
 ///
-/// Panics if `out` does not hold `rows * ncols` entries or `x` does not
-/// hold `ncols` entries per column of `A`.
+/// Panics if `out` does not hold `rows` entries or `x` does not hold one
+/// entry per column of `A`.
 #[inline]
-pub fn mul_cols_into(a_cols: &[f64], rows: usize, x: &[f64], out: &mut [f64], ncols: usize) {
+pub fn mul_cols_into(a_cols: &[f64], rows: usize, x: &[f64], out: &mut [f64]) {
+    assert_eq!(out.len(), rows, "out must hold rows entries");
     assert_eq!(
-        out.len(),
-        rows * ncols,
-        "out must hold rows * ncols entries"
-    );
-    assert_eq!(
-        a_cols.len() * ncols,
+        a_cols.len(),
         rows * x.len(),
-        "x must hold ncols entries per column of A"
+        "x must hold one entry per column of A"
     );
-    if ncols == 1 {
-        let r = rows_block::<8>(a_cols, rows, x, out, 0);
-        let r = rows_block::<4>(a_cols, rows, x, out, r);
-        let r = rows_block::<2>(a_cols, rows, x, out, r);
-        rows_block::<1>(a_cols, rows, x, out, r);
-        return;
-    }
-    const TILE: usize = 8;
-    for (r, out_row) in out.chunks_exact_mut(ncols).enumerate() {
-        let mut j = 0;
-        while j + TILE <= ncols {
-            let mut acc = [0.0f64; TILE];
-            for (c, xs) in x.chunks_exact(ncols).enumerate() {
-                let a = a_cols[c * rows + r];
-                for (t, &b) in acc.iter_mut().zip(&xs[j..j + TILE]) {
-                    *t += a * b;
-                }
-            }
-            out_row[j..j + TILE].copy_from_slice(&acc);
-            j += TILE;
-        }
-        for (j, o) in out_row.iter_mut().enumerate().skip(j) {
-            let a_row = a_cols[r..].iter().step_by(rows);
-            let xs = x[j..].iter().step_by(ncols);
-            *o = a_row.zip(xs).fold(0.0, |acc, (&a, &b)| acc + a * b);
-        }
-    }
+    let r = rows_block::<8>(a_cols, rows, x, out, 0);
+    let r = rows_block::<4>(a_cols, rows, x, out, r);
+    let r = rows_block::<2>(a_cols, rows, x, out, r);
+    rows_block::<1>(a_cols, rows, x, out, r);
 }
 
-/// The single-column case of [`mul_cols_into`] for output rows `r..`,
-/// `B` rows at a time while `B` of them remain, with the `B` partial sums
-/// held in registers across the whole sweep over `A`'s columns. Returns
-/// the first row it left for a smaller block.
+/// [`mul_cols_into`] for output rows `r..`, `B` rows at a time while `B`
+/// of them remain, with the `B` partial sums held in registers across
+/// the whole sweep over `A`'s columns. Returns the first row it left for
+/// a smaller block.
 #[inline]
 fn rows_block<const B: usize>(
     a_cols: &[f64],
@@ -505,47 +470,29 @@ mod tests {
 
     #[test]
     fn mul_cols_into_matches_mul_vec_into_per_column() {
-        // The single-column path (row blocks of 8, 4, 2 and 1 at n = 15)
-        // against every position of wide blocks.
-        for (n, ncols) in [1, 3, 7, 8, 9, 16, 21]
-            .into_iter()
-            .flat_map(|ncols| [(6, ncols), (15, ncols)])
-        {
+        // Row blocks of 8, 4, 2 and 1 (n = 15) and shorter columns.
+        for n in [1, 2, 6, 8, 9, 15, 16] {
             let mut a = Matrix::zeros(n);
-            lcg_fill(&mut a.data, 0x51f0 + ncols as u64);
-            let mut x = vec![0.0; n * ncols];
-            lcg_fill(&mut x, 0xc0de + ncols as u64);
-            let mut out = vec![1.0; n * ncols];
-            mul_cols_into(&columns(&a), n, &x, &mut out, ncols);
-            let mut col = vec![0.0; n];
+            lcg_fill(&mut a.data, 0x51f0 + n as u64);
+            let mut x = vec![0.0; n];
+            lcg_fill(&mut x, 0xc0de + n as u64);
+            let mut out = vec![1.0; n];
+            mul_cols_into(&columns(&a), n, &x, &mut out);
             let mut expect = vec![0.0; n];
-            for j in 0..ncols {
-                for i in 0..n {
-                    col[i] = x[i * ncols + j];
-                }
-                a.mul_vec_into(&col, &mut expect);
-                for i in 0..n {
-                    assert_eq!(
-                        out[i * ncols + j].to_bits(),
-                        expect[i].to_bits(),
-                        "ncols={ncols} col={j} row={i}"
-                    );
-                }
+            a.mul_vec_into(&x, &mut expect);
+            for i in 0..n {
+                assert_eq!(out[i].to_bits(), expect[i].to_bits(), "n={n} row={i}");
             }
         }
     }
 
     #[test]
     fn mul_cols_into_takes_rectangular_blocks() {
-        // A 2×3 matrix [[1, 2, 3], [4, 5, 6]] by column, against the
-        // 3×2 block [[1, 0], [0, 1], [1, -1]] stored node-major.
+        // The 2×3 matrix [[1, 2, 3], [4, 5, 6]] by column, against
+        // [1, 0, 1].
         let a_cols = [1.0, 4.0, 2.0, 5.0, 3.0, 6.0];
-        let x = [1.0, 0.0, 0.0, 1.0, 1.0, -1.0];
-        let mut out = [9.0; 4];
-        mul_cols_into(&a_cols, 2, &x, &mut out, 2);
-        assert_eq!(out, [4.0, -1.0, 10.0, -1.0]);
         let mut col = [9.0; 2];
-        mul_cols_into(&a_cols, 2, &[1.0, 0.0, 1.0], &mut col, 1);
+        mul_cols_into(&a_cols, 2, &[1.0, 0.0, 1.0], &mut col);
         assert_eq!(col, [4.0, 10.0]);
     }
 

@@ -309,43 +309,42 @@ impl Workspace {
 /// build for small networks, Jacobi-preconditioned CG over the CSR graph
 /// for large ones (crossover at the builder's dense-steady limit).
 #[derive(Debug, Clone)]
-pub(crate) enum SteadySolver {
+enum SteadySolver {
     Dense(Lu),
     MatrixFree,
 }
 
-/// The zero-order-hold step for one step size, shared by the scalar and
-/// batched exact steppers: `block` is the `n × 2n` matrix `[E | F]`,
-/// stored column by column as [`mul_cols_into`] takes it, with
-/// `E = exp(-C⁻¹A·dt)` and `F = (I − E)·A⁻¹`, so one product against the
-/// state block `[T; u]` gives `T' = E·T + F·u`. Keyed on `dt` alone:
-/// powers and ambient enter only through `u`.
+/// The zero-order-hold step for one step size: `block` is the `n × 2n`
+/// matrix `[E | F]`, stored column by column as [`mul_cols_into`] takes
+/// it, with `E = exp(-C⁻¹A·dt)` and `F = (I − E)·A⁻¹`, so one product
+/// against the state block `[T; u]` gives `T' = E·T + F·u`. Keyed on `dt`
+/// alone: powers and ambient enter only through `u`.
 #[derive(Debug, Clone)]
-pub(crate) struct Zoh {
-    pub dt: f64,
-    pub block: Vec<f64>,
+struct Zoh {
+    dt: f64,
+    block: Vec<f64>,
 }
 
 /// A lumped RC thermal network with per-node power injection.
 #[derive(Debug, Clone)]
 pub struct RcNetwork {
     names: Vec<String>,
-    /// Per-node heat capacitance (J/K); shared with [`crate::NetworkBatch`].
-    pub(crate) capacitance: Vec<f64>,
+    /// Per-node heat capacitance (J/K).
+    capacitance: Vec<f64>,
     /// Precomputed `1/C_i`: derivative sweeps multiply instead of divide.
-    pub(crate) inv_capacitance: Vec<f64>,
+    inv_capacitance: Vec<f64>,
     /// CSR row pointers into `col_idx`/`edge_g` (length `n + 1`).
-    pub(crate) row_ptr: Vec<usize>,
+    row_ptr: Vec<usize>,
     /// CSR neighbour indices.
-    pub(crate) col_idx: Vec<usize>,
+    col_idx: Vec<usize>,
     /// CSR edge conductances (W/K), parallel to `col_idx`.
-    pub(crate) edge_g: Vec<f64>,
+    edge_g: Vec<f64>,
     /// Per-node total conductance `g_amb_i + Σ_j g_ij` (the Laplacian
     /// diagonal).
-    pub(crate) diag_g: Vec<f64>,
+    diag_g: Vec<f64>,
     /// Steady-state solver: dense LU (small) or matrix-free CG (large).
-    pub(crate) steady: SteadySolver,
-    pub(crate) ambient_conductance: Vec<f64>,
+    steady: SteadySolver,
+    ambient_conductance: Vec<f64>,
     ambient: f64,
     /// The state block `[T; u]`: node temperatures, then the per-node
     /// injection `u_i = P_i + g_amb_i·T_amb` every stepper reads. The
@@ -438,18 +437,6 @@ impl RcNetwork {
         self.power[n.0]
     }
 
-    /// The state block `[T; u]` (temperatures, then injections), which a
-    /// [`crate::NetworkBatch`] broadcasts into its columns.
-    pub(crate) fn state(&self) -> &[f64] {
-        &self.state
-    }
-
-    /// All node powers (W), indexed by [`NodeId::index`] — the batch
-    /// loaders copy whole power vectors between dies with this.
-    pub fn powers(&self) -> &[f64] {
-        &self.power
-    }
-
     /// How many times the exact propagator has been (re)built — once per
     /// distinct step size seen by [`Stepper::Exact`]. Diagnostic for cache
     /// behaviour (tests, benches); mirrored onto the telemetry registry as
@@ -485,7 +472,7 @@ impl RcNetwork {
     }
 
     /// Borrowed matrix-free view of the CSR graph for the sparse kernels.
-    pub(crate) fn ode_view(&self) -> OdeView<'_> {
+    fn ode_view(&self) -> OdeView<'_> {
         OdeView {
             row_ptr: &self.row_ptr,
             col_idx: &self.col_idx,
@@ -525,10 +512,8 @@ impl RcNetwork {
 
     /// Builds the zero-order-hold block `[E | F]` for a step of `dt`
     /// seconds. `F = (I − E)·A⁻¹` takes `A⁻¹` one column at a time from
-    /// the steady solver. This is the single construction path shared by
-    /// the scalar exact stepper and [`crate::NetworkBatch`], so a batched
-    /// die and an independently stepped die apply bit-identical blocks.
-    pub(crate) fn zoh(&self, dt: f64) -> Zoh {
+    /// the steady solver.
+    fn zoh(&self, dt: f64) -> Zoh {
         let n = self.len();
         let e = self.propagator_matrix(dt);
         let mut a_inv = Matrix::zeros(n);
@@ -569,7 +554,7 @@ impl RcNetwork {
         let zoh = self.exact.as_ref().expect("cache ensured above");
         let n = self.len();
         let out = &mut self.scratch.stages[0];
-        mul_cols_into(&zoh.block, n, &self.state, out, 1);
+        mul_cols_into(&zoh.block, n, &self.state, out);
         self.state[..n].copy_from_slice(out);
     }
 
@@ -619,8 +604,8 @@ impl RcNetwork {
 
     /// What [`Stepper::Auto`] resolves to for this network: `Exact` when
     /// it is dense (LU steady solver) and has at most 64 nodes, the
-    /// adaptive stepper otherwise. A function of the structure alone, so
-    /// a network and a batch of its clones always resolve alike.
+    /// adaptive stepper otherwise. A function of the structure alone:
+    /// neither powers nor stepping history move the choice.
     pub fn resolve_auto(&self) -> Stepper {
         if matches!(self.steady, SteadySolver::Dense(_)) && self.len() <= Self::AUTO_EXACT_MAX_NODES
         {
@@ -949,7 +934,7 @@ mod tests {
             } else {
                 DieModel::new(floorplan, params)
             };
-            let core_nodes = die.core_nodes().to_vec();
+            let core_nodes = die.core_nodes.clone();
             let mut zoh = die.network().clone();
             let mut reference = zoh.clone();
             let mut steady = SteadyReference::new(zoh.len());
@@ -1011,7 +996,7 @@ mod tests {
             let mut rk = die.network().clone();
             die.advance(20.0);
             rk4_reference(&mut rk, 20.0, 0.05);
-            for &node in die.core_nodes() {
+            for &node in &die.core_nodes {
                 let (a, b) = (die.network().temperature(node), rk.temperature(node));
                 proptest::prop_assert!((a - b).abs() < 1e-2, "exact {} vs rk4 {}", a, b);
             }

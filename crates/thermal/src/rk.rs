@@ -1,13 +1,13 @@
 //! Embedded adaptive Runge–Kutta integration behind a Butcher-table trait.
 //!
-//! The integrator is generic over an [`RkTable`] — a compile-time Butcher
-//! tableau with an embedded lower-order error row — so pairs like
-//! Dormand–Prince 5(4) and Cash–Karp 4(5) share one zero-alloc kernel.
-//! Step size is driven by a per-node error estimate
+//! The zero-alloc integrator is generic over an [`RkTable`] — a
+//! compile-time first-same-as-last (FSAL) Butcher tableau with an
+//! embedded lower-order error row; [`DormandPrince54`] is the one
+//! provided. Step size is driven by a per-node error estimate
 //! `sc_i = abs_tol + rel_tol·max(|y_i|, |y'_i|)` (RMS over nodes) and a
 //! PI controller (accept factor `0.9·err^(−0.7/p)·err_prev^(0.4/p)`,
-//! clamped to `[0.2, 10]`), with first-same-as-last (FSAL) stage reuse
-//! for tables whose solution row equals their final stage row.
+//! clamped to `[0.2, 10]`), and the final stage of each accepted step
+//! seeds the first stage of the next.
 //!
 //! The thermal ODE is autonomous within one advance (power and ambient
 //! are held piecewise constant), so the tableau's `c` nodes never enter
@@ -16,7 +16,7 @@
 use crate::sparse::OdeView;
 
 /// Maximum stage count across the provided tables; sizes the stage
-/// buffers in the network/batch workspaces.
+/// buffers in the network workspace.
 pub const MAX_RK_STAGES: usize = 7;
 
 /// A Butcher tableau for an embedded explicit Runge–Kutta pair.
@@ -24,9 +24,9 @@ pub const MAX_RK_STAGES: usize = 7;
 /// `A[s]` holds the `s` coupling coefficients feeding stage `s` (row 0 is
 /// empty). `B` is the higher-order solution row; `E = B − B̂` is the
 /// difference against the embedded lower-order row, so `h·Σ E_s·k_s` is
-/// the local error estimate directly. When `FSAL` is true, `A`'s last row
-/// equals `B`, so the final stage state *is* the solution and its
-/// derivative seeds stage 0 of the next step for free.
+/// the local error estimate directly. The table must be first-same-as-last:
+/// `A`'s last row equals `B`, so the final stage state *is* the solution
+/// and its derivative seeds stage 0 of the next step for free.
 pub trait RkTable {
     /// Human-readable name, for diagnostics.
     const NAME: &'static str;
@@ -34,11 +34,9 @@ pub trait RkTable {
     const STAGES: usize;
     /// Order used for step-size control (the propagated solution's order).
     const ORDER: usize;
-    /// First-same-as-last: last `A` row equals `B`.
-    const FSAL: bool;
     /// Lower-triangular coupling coefficients; `A[s].len() == s`.
     const A: &'static [&'static [f64]];
-    /// Solution weights (length `STAGES`); unused when `FSAL`.
+    /// Solution weights (length `STAGES`), equal to `A`'s last row.
     const B: &'static [f64];
     /// Error weights `B − B̂` (length `STAGES`).
     const E: &'static [f64];
@@ -52,7 +50,6 @@ impl RkTable for DormandPrince54 {
     const NAME: &'static str = "dormand-prince-5(4)";
     const STAGES: usize = 7;
     const ORDER: usize = 5;
-    const FSAL: bool = true;
     const A: &'static [&'static [f64]] = &[
         &[],
         &[1.0 / 5.0],
@@ -97,47 +94,6 @@ impl RkTable for DormandPrince54 {
         -17253.0 / 339200.0,
         22.0 / 525.0,
         -1.0 / 40.0,
-    ];
-}
-
-/// Cash–Karp 4(5): 6 stages, no FSAL. Kept as a second tableau behind the
-/// same trait (and as the kernel's non-FSAL code-path exercise).
-pub struct CashKarp45;
-
-impl RkTable for CashKarp45 {
-    const NAME: &'static str = "cash-karp-4(5)";
-    const STAGES: usize = 6;
-    const ORDER: usize = 5;
-    const FSAL: bool = false;
-    const A: &'static [&'static [f64]] = &[
-        &[],
-        &[1.0 / 5.0],
-        &[3.0 / 40.0, 9.0 / 40.0],
-        &[3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0],
-        &[-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0],
-        &[
-            1631.0 / 55296.0,
-            175.0 / 512.0,
-            575.0 / 13824.0,
-            44275.0 / 110592.0,
-            253.0 / 4096.0,
-        ],
-    ];
-    const B: &'static [f64] = &[
-        37.0 / 378.0,
-        0.0,
-        250.0 / 621.0,
-        125.0 / 594.0,
-        0.0,
-        512.0 / 1771.0,
-    ];
-    const E: &'static [f64] = &[
-        37.0 / 378.0 - 2825.0 / 27648.0,
-        0.0,
-        250.0 / 621.0 - 18575.0 / 48384.0,
-        125.0 / 594.0 - 13525.0 / 55296.0,
-        -277.0 / 14336.0,
-        512.0 / 1771.0 - 1.0 / 4.0,
     ];
 }
 
@@ -188,8 +144,10 @@ pub(crate) fn integrate<T: RkTable>(
         duration
     };
     let mut remaining = duration;
+    // stages[0] holds f(y) from here on: computed once, then carried over
+    // from the final stage of each accepted step.
+    ode.derivative(inject, y, stages[0]);
     let mut err_prev = 1.0f64;
-    let mut k0_valid = false;
     let mut accepted = 0u64;
     let mut rejected = 0u64;
     while remaining > 0.0 {
@@ -200,10 +158,6 @@ pub(crate) fn integrate<T: RkTable>(
             "adaptive step underflow (h = {h:e} over duration {duration:e}): \
              non-finite network state?"
         );
-        if !k0_valid {
-            ode.derivative(inject, y, stages[0]);
-            k0_valid = true;
-        }
         for s in 1..T::STAGES {
             let row = T::A[s];
             let (prev, rest) = stages.split_at_mut(s);
@@ -218,21 +172,9 @@ pub(crate) fn integrate<T: RkTable>(
             }
             ode.derivative(inject, y_stage, rest[0]);
         }
-        if T::FSAL {
-            // Last A row == B: the final stage state is the 5th-order
-            // solution, already in y_stage.
-            y_new.copy_from_slice(y_stage);
-        } else {
-            for i in 0..n {
-                let mut dy = 0.0;
-                for (s, &bs) in T::B.iter().enumerate() {
-                    if bs != 0.0 {
-                        dy += bs * stages[s][i];
-                    }
-                }
-                y_new[i] = y[i] + h * dy;
-            }
-        }
+        // Last A row == B: the final stage state is the higher-order
+        // solution, already in y_stage.
+        y_new.copy_from_slice(y_stage);
         let mut err_sq = 0.0;
         for i in 0..n {
             let mut de = 0.0;
@@ -262,12 +204,8 @@ pub(crate) fn integrate<T: RkTable>(
                 }
             };
             y.copy_from_slice(y_new);
-            if T::FSAL {
-                // stages[STAGES-1] holds f(y_new): recycle it as stage 0.
-                stages.swap(0, T::STAGES - 1);
-            } else {
-                k0_valid = false;
-            }
+            // stages[STAGES-1] holds f(y_new): recycle it as stage 0.
+            stages.swap(0, T::STAGES - 1);
             let e = err.max(1e-10);
             let factor = (SAFETY * e.powf(-alpha) * err_prev.powf(beta))
                 .clamp(MIN_ACCEPT_FACTOR, MAX_ACCEPT_FACTOR);
@@ -318,20 +256,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cash_karp_row_sums_match_nodes() {
-        let c = [0.0, 0.2, 0.3, 0.6, 1.0, 7.0 / 8.0];
-        for (s, row) in CashKarp45::A.iter().enumerate() {
-            let sum: f64 = row.iter().sum();
-            assert!((sum - c[s]).abs() < 1e-12, "row {s}: {sum} vs {}", c[s]);
-        }
-        let b: f64 = CashKarp45::B.iter().sum();
-        assert!((b - 1.0).abs() < 1e-12, "B must sum to 1");
-        let e: f64 = CashKarp45::E.iter().sum();
-        assert!(e.abs() < 1e-12, "E must sum to 0");
-    }
-
-    /// Scalar exponential decay y' = −y: both tables must track the exact
+    /// Scalar exponential decay y' = −y: the table must track the exact
     /// solution to well within tolerance over many adapted steps.
     #[allow(clippy::type_complexity)]
     fn decay_ode() -> (Vec<usize>, Vec<usize>, Vec<f64>, Vec<f64>, Vec<f64>) {
@@ -378,14 +303,6 @@ mod tests {
         assert!((y - exact).abs() < 1e-7, "y = {y}, exact = {exact}");
         assert!(stats.accepted >= 5, "too few steps: {:?}", stats);
         assert!(stats.dt_next > 0.0);
-    }
-
-    #[test]
-    fn cash_karp_tracks_exponential_decay() {
-        let (y, stats) = run_decay::<CashKarp45>();
-        let exact = (-5.0f64).exp();
-        assert!((y - exact).abs() < 1e-7, "y = {y}, exact = {exact}");
-        assert!(stats.accepted >= 5);
     }
 
     /// A deliberately huge initial step must be rejected, then recovered

@@ -14,8 +14,8 @@
 pub(crate) const CG_REL_TOL: f64 = 1e-12;
 
 /// Borrowed view of an [`crate::RcNetwork`]'s CSR structure plus the
-/// precomputed `1/C` vector, shared by the scalar and batched adaptive
-/// steppers so both run the *same* kernel on the same bytes.
+/// precomputed `1/C` vector: what the adaptive stepper and the
+/// steady-state CG solve run on.
 pub(crate) struct OdeView<'a> {
     pub row_ptr: &'a [usize],
     pub col_idx: &'a [usize],

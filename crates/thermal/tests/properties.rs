@@ -1,7 +1,7 @@
 //! Property-based tests of the thermal substrate.
 
 use proptest::prelude::*;
-use thermorl_thermal::{DieBatch, DieModel, DieParams, Floorplan, HeteroMix, Stepper};
+use thermorl_thermal::{DieModel, DieParams, Floorplan, HeteroMix, Stepper};
 
 fn die_with_powers(powers: &[f64]) -> DieModel {
     let mut die = DieModel::quad_core();
@@ -144,59 +144,6 @@ proptest! {
                 (a - b).abs() < 1e-3,
                 "{}x{} big={} adaptive {} vs exact {}", w, h, big, a, b
             );
-        }
-    }
-
-    /// A die advanced inside a [`DieBatch`] is bit-identical to the same
-    /// die advanced alone, for every stepper, under per-die power and
-    /// ambient schedules whose varying epoch lengths force propagator
-    /// rebuilds (Exact re-derives `[E | F]` per distinct dt). This is the
-    /// contract that keeps serve snapshots
-    /// and campaign checkpoints byte-identical when dies route through
-    /// the batched path.
-    #[test]
-    fn batch_agrees_with_scalar(
-        width in 1usize..6,
-        stepper_idx in 0usize..3,
-        schedule in proptest::collection::vec(
-            (1u8..30, proptest::collection::vec(0.0f64..20.0, 24)),
-            1..5,
-        ),
-    ) {
-        let stepper = [Stepper::Exact, Stepper::adaptive(), Stepper::Auto][stepper_idx];
-        let proto = DieModel::new(
-            Floorplan::quad(),
-            DieParams { stepper, ..DieParams::default() },
-        );
-        let mut batch = DieBatch::new(&proto, width);
-        let mut scalars: Vec<DieModel> = (0..width).map(|_| proto.clone()).collect();
-        let mut out = vec![0.0; batch.nodes()];
-        for (ticks, powers) in &schedule {
-            // Distinct durations are distinct dts for Exact.
-            let duration = f64::from(*ticks) * 0.07;
-            for (d, scalar) in scalars.iter_mut().enumerate() {
-                for c in 0..4 {
-                    let w = powers[(d * 4 + c) % powers.len()];
-                    batch.set_core_power(d, c, w);
-                    scalar.set_core_power(c, w);
-                }
-                let ambient = 25.0 + powers[d % powers.len()] * 0.2;
-                batch.set_ambient(d, ambient);
-                scalar.set_ambient(ambient);
-            }
-            batch.advance(duration);
-            for s in &mut scalars {
-                s.advance(duration);
-            }
-            for (d, scalar) in scalars.iter().enumerate() {
-                batch.store_die(d, &mut out);
-                for (i, (a, b)) in out.iter().zip(scalar.network().temperatures()).enumerate() {
-                    prop_assert!(
-                        a.to_bits() == b.to_bits(),
-                        "{} die {} node {}: {} vs {}", stepper, d, i, a, b
-                    );
-                }
-            }
         }
     }
 

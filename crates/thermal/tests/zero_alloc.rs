@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use thermorl_thermal::{DieBatch, DieModel, DieParams, Floorplan, Stepper};
+use thermorl_thermal::{DieModel, DieParams, Floorplan, Stepper};
 
 struct CountingAlloc;
 
@@ -90,49 +90,6 @@ fn steady_state_stepping_does_not_allocate() {
         assert_eq!(
             n, 0,
             "{stepper}: stepping with changing powers must not allocate"
-        );
-    }
-
-    // The batched path must uphold the same guarantee (this stays inside
-    // the single #[test] so no concurrent test pollutes the counter).
-    for stepper in [Stepper::Exact, Stepper::adaptive()] {
-        let proto = DieModel::new(
-            Floorplan::quad(),
-            DieParams {
-                stepper,
-                ..DieParams::default()
-            },
-        );
-        let mut batch = DieBatch::new(&proto, 64);
-        for die in 0..batch.width() {
-            for c in 0..4 {
-                batch.set_core_power(die, c, 10.0);
-            }
-        }
-        // Warm-up builds the shared [E | F] block; after that the batch
-        // path owns all its scratch.
-        batch.advance(1.0);
-
-        let n = allocs_during(|| {
-            for _ in 0..100 {
-                batch.advance(1.0);
-            }
-        });
-        assert_eq!(n, 0, "{stepper}: steady batch stepping must not allocate");
-
-        // Per-die power churn between ticks: each touched die's u column
-        // is rewritten in place, still allocation-free.
-        let n = allocs_during(|| {
-            for i in 0..100u64 {
-                for die in 0..batch.width() {
-                    batch.set_core_power(die, (i % 4) as usize, 5.0 + (i % 7) as f64);
-                }
-                batch.advance(1.0);
-            }
-        });
-        assert_eq!(
-            n, 0,
-            "{stepper}: batch stepping with changing powers must not allocate"
         );
     }
 
