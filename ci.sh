@@ -110,8 +110,21 @@ timeout 60 cargo run --release -q -p thermorl-bench --bin run_all -- \
 timeout 300 cargo run --release -q -p thermorl-bench --bin run_all -- \
     dispatch work --coordinator-file "$SMOKE_DIR/addr" --quiet
 wait "$SERVE_PID"
-grep -q '"dispatch.leases_granted"' "$SMOKE_DIR/telemetry.json" \
-    || { echo "dispatch telemetry missing lease counters"; exit 1; }
+python3 - "$SMOKE_DIR/telemetry.json" <<'EOF'
+import json, sys
+path = sys.argv[1]
+with open(path) as f:
+    snap = json.load(f)
+keys = ["counters", "gauges", "histograms", "spans", "events", "events_dropped",
+        "trace_spans", "trace_spans_dropped", "shards"]
+assert list(snap) == keys, f"telemetry keys {list(snap)}"
+assert snap["counters"].get("dispatch.leases_granted", 0) > 0, "no dispatch.leases_granted"
+events = path[:-len(".json")] + ".events.jsonl"
+with open(events) as f:
+    lines = [json.loads(line) for line in f]
+assert len(lines) == len(snap["events"]), f"{len(lines)} event lines, {len(snap['events'])} events"
+print(f"dispatch telemetry: {len(snap['counters'])} counters, {len(lines)} event lines")
+EOF
 
 echo "== serve loopback smoke (run + bench + kill -9 + restart + recovery) =="
 # A real supervisor on an ephemeral port: drive 8 dies for 500 observes,

@@ -13,7 +13,8 @@
 //!   warning, not a failure (first run).
 //! * `--telemetry [PATH]` — record registry metrics during the scenario
 //!   measurement and write the snapshot to PATH (default
-//!   `telemetry.json`). Stepper timings and the disabled-overhead
+//!   `telemetry.json`), plus events to the sibling `*.events.jsonl`.
+//!   Stepper timings and the disabled-overhead
 //!   entries are always measured before recording is enabled, so the
 //!   headline `die_advance_1s` number stays telemetry-free.
 //!
@@ -33,7 +34,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use thermorl_sim::json::Value;
+use thermorl_json::Value;
 use thermorl_sim::{run_scenario, NullController, SimConfig};
 use thermorl_telemetry as tel;
 use thermorl_thermal::{DieModel, DieParams, Floorplan, Stepper, DENSE_STEADY_LIMIT};
@@ -629,8 +630,10 @@ fn main() {
     doc.set("scenario", scenario);
 
     if let Some(path) = &telemetry {
-        let snap = tel::snapshot().since(&tel_baseline);
-        std::fs::write(path, snap.to_json() + "\n").expect("write telemetry output");
+        tel::snapshot()
+            .since(&tel_baseline)
+            .write_files(path.as_ref())
+            .expect("write telemetry output");
         println!("-> {path}");
     }
 

@@ -25,12 +25,12 @@
 use thermorl_bench::campaign::{check_failures, merge_checkpoints_command};
 use thermorl_bench::table::{num, Table};
 use thermorl_bench::{policy_flag, Policy, SEED};
+use thermorl_json::Value;
 use thermorl_policy::tournament::TOURNAMENT_SCHEMA;
 use thermorl_policy::{
     cell_metrics, leaderboard, scenario_matrix, CellMetrics, PolicyId, TournamentScenario,
 };
 use thermorl_runner::{run_outcome_codec, Campaign, RunnerConfig};
-use thermorl_sim::json::Value;
 use thermorl_sim::{run_scenario, RunOutcome};
 
 const DEFAULT_CHECKPOINT: &str = "results/tournament.jsonl";

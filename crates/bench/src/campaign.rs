@@ -9,8 +9,8 @@
 //! per-figure binaries build single-experiment campaigns through the same
 //! API.
 
+use thermorl_json::{JsonError, Value};
 use thermorl_runner::{Campaign, CampaignReport, Codec, RunnerConfig};
-use thermorl_sim::json::{JsonError, Value};
 use thermorl_sim::RunOutcome;
 
 use crate::experiments::AgentTelemetry;
@@ -61,78 +61,49 @@ impl CellOutcome {
 
 fn telemetry_to_json(t: &AgentTelemetry) -> Value {
     let mut obj = Value::object();
-    obj.set("epochs", Value::UInt(t.epochs));
-    obj.set(
-        "convergence_epoch",
-        match t.convergence_epoch {
-            Some(e) => Value::UInt(e),
-            None => Value::Null,
-        },
-    );
-    obj.set("intra_events", Value::UInt(t.intra_events));
-    obj.set("inter_events", Value::UInt(t.inter_events));
+    obj.set("epochs", t.epochs)
+        .set(
+            "convergence_epoch",
+            t.convergence_epoch.map_or(Value::Null, Value::UInt),
+        )
+        .set("intra_events", t.intra_events)
+        .set("inter_events", t.inter_events);
     obj
 }
 
 fn telemetry_from_json(v: &Value) -> Result<AgentTelemetry, JsonError> {
-    let field = |name: &str| {
-        v.get(name)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| JsonError::new(format!("telemetry missing {name}")))
-    };
-    let convergence_epoch = match v.get("convergence_epoch") {
-        None | Some(Value::Null) => None,
-        Some(e) => Some(
-            e.as_u64()
-                .ok_or_else(|| JsonError::new("bad convergence_epoch"))?,
-        ),
-    };
     Ok(AgentTelemetry {
-        epochs: field("epochs")?,
-        convergence_epoch,
-        intra_events: field("intra_events")?,
-        inter_events: field("inter_events")?,
+        epochs: v.field("epochs")?,
+        convergence_epoch: v.opt_field("convergence_epoch")?,
+        intra_events: v.field("intra_events")?,
+        inter_events: v.field("inter_events")?,
     })
 }
 
 fn cell_encode(cell: &CellOutcome) -> Value {
     let mut obj = Value::object();
-    obj.set("outcome", cell.outcome.to_json());
-    obj.set(
-        "telemetry",
-        match &cell.telemetry {
-            Some(t) => telemetry_to_json(t),
-            None => Value::Null,
-        },
-    );
-    obj.set(
-        "trace_csv",
-        match &cell.trace_csv {
-            Some(csv) => Value::Str(csv.clone()),
-            None => Value::Null,
-        },
-    );
+    obj.set("outcome", cell.outcome.to_json())
+        .set(
+            "telemetry",
+            cell.telemetry
+                .as_ref()
+                .map_or(Value::Null, telemetry_to_json),
+        )
+        .set(
+            "trace_csv",
+            cell.trace_csv.as_deref().map_or(Value::Null, Value::from),
+        );
     obj
 }
 
 fn cell_decode(v: &Value) -> Result<CellOutcome, JsonError> {
-    let outcome = RunOutcome::from_json(
-        v.get("outcome")
-            .ok_or_else(|| JsonError::new("cell missing outcome"))?,
-    )?;
-    let telemetry = match v.get("telemetry") {
-        None | Some(Value::Null) => None,
-        Some(t) => Some(telemetry_from_json(t)?),
-    };
-    let trace_csv = match v.get("trace_csv") {
-        None | Some(Value::Null) => None,
-        Some(Value::Str(s)) => Some(s.clone()),
-        Some(_) => return Err(JsonError::new("trace_csv must be a string")),
-    };
     Ok(CellOutcome {
-        outcome,
-        telemetry,
-        trace_csv,
+        outcome: RunOutcome::from_json(v.field("outcome")?)?,
+        telemetry: v
+            .opt_field::<&Value>("telemetry")?
+            .map(telemetry_from_json)
+            .transpose()?,
+        trace_csv: v.opt_field("trace_csv")?,
     })
 }
 

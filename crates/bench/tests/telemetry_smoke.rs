@@ -14,10 +14,10 @@
 
 use thermorl_bench::Policy;
 use thermorl_control::{ControlConfig, DasDac14Controller, MovingAverageDetector};
+use thermorl_json::Value;
 use thermorl_platform::CounterSnapshot;
 use thermorl_policy::PolicyId;
 use thermorl_runner::{Campaign, RunnerConfig};
-use thermorl_sim::json::Value;
 use thermorl_sim::{run_scenario, Observation, SimConfig, ThermalController};
 use thermorl_thermal::{RcNetworkBuilder, Stepper};
 use thermorl_workload::{alpbench, DataSet, Scenario};

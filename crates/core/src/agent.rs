@@ -792,10 +792,9 @@ mod tests {
 
         let snap = donor.snapshot().expect("started agent snapshots");
         let line = snap.to_value().to_json();
-        let decoded = crate::AgentSnapshot::from_value(
-            &thermorl_sim::json::Value::parse(&line).expect("parse"),
-        )
-        .expect("decode");
+        let decoded =
+            crate::AgentSnapshot::from_value(&thermorl_json::Value::parse(&line).expect("parse"))
+                .expect("decode");
         assert_eq!(decoded, snap);
         let mut twin = DasDac14Controller::restore(cfg, &decoded);
 

@@ -17,7 +17,7 @@
 //! serialize → restore → step produces the same bits as never
 //! snapshotting.
 
-use thermorl_sim::json::{JsonError, Value};
+use thermorl_json::{JsonError, Value};
 
 use crate::agent::EpochDecision;
 use crate::state::StateId;
@@ -76,94 +76,54 @@ pub struct AgentSnapshot {
     pub last_decision: Option<EpochDecision>,
 }
 
-fn f64_arr(values: &[f64]) -> Value {
-    Value::Arr(values.iter().map(|&v| Value::num(v)).collect())
-}
-
-fn usize_arr(values: &[usize]) -> Value {
-    Value::Arr(values.iter().map(|&v| Value::UInt(v as u64)).collect())
-}
-
-fn get_f64_arr(v: &Value, name: &str) -> Result<Vec<f64>, JsonError> {
-    v.get(name)
-        .and_then(Value::as_array)
-        .ok_or_else(|| JsonError::new(format!("agent snapshot missing {name:?}")))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .ok_or_else(|| JsonError::new(format!("bad float in {name:?}")))
-        })
-        .collect()
-}
-
-fn get_usize_arr(v: &Value, name: &str) -> Result<Vec<usize>, JsonError> {
-    v.get(name)
-        .and_then(Value::as_array)
-        .ok_or_else(|| JsonError::new(format!("agent snapshot missing {name:?}")))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .map(|u| u as usize)
-                .ok_or_else(|| JsonError::new(format!("bad integer in {name:?}")))
-        })
-        .collect()
-}
-
-fn get_u64(v: &Value, name: &str) -> Result<u64, JsonError> {
-    v.get(name)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| JsonError::new(format!("agent snapshot missing {name:?}")))
-}
-
-fn get_f64(v: &Value, name: &str) -> Result<f64, JsonError> {
-    v.get(name)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| JsonError::new(format!("agent snapshot missing {name:?}")))
-}
-
 impl AgentSnapshot {
     /// Encodes the snapshot as a JSON object value.
     pub fn to_value(&self) -> Value {
         let mut obj = Value::object();
-        obj.set("num_threads", Value::UInt(self.num_threads as u64));
-        obj.set("num_cores", Value::UInt(self.num_cores as u64));
-        obj.set("name", Value::Str(self.name.clone()));
-        obj.set("qtable", f64_arr(&self.qtable));
+        obj.set("num_threads", self.num_threads)
+            .set("num_cores", self.num_cores)
+            .set("name", self.name.as_str())
+            .set("qtable", self.qtable.as_slice());
         if let Some(q_exp) = &self.q_exp {
-            obj.set("q_exp", f64_arr(q_exp));
+            obj.set("q_exp", q_exp.as_slice());
         }
-        obj.set("alpha", Value::num(self.alpha));
-        obj.set("rng_state", Value::UInt(self.rng_state));
-        obj.set("detector_stress", f64_arr(&self.detector_stress));
-        obj.set("detector_aging", f64_arr(&self.detector_aging));
+        obj.set("alpha", self.alpha)
+            .set("rng_state", self.rng_state)
+            .set("detector_stress", self.detector_stress.as_slice())
+            .set("detector_aging", self.detector_aging.as_slice());
         if let Some((s, a)) = self.detector_prev_ma {
-            obj.set("detector_prev_ma", f64_arr(&[s, a]));
+            obj.set("detector_prev_ma", &[s, a][..]);
         }
         obj.set(
             "trec",
-            Value::Arr(self.trec.iter().map(|core| f64_arr(core)).collect()),
+            Value::Arr(
+                self.trec
+                    .iter()
+                    .map(|core| core.as_slice().into())
+                    .collect(),
+            ),
         );
         if let Some((state, action)) = self.prev {
-            obj.set("prev", usize_arr(&[state, action]));
+            obj.set("prev", &[state, action][..]);
         }
-        obj.set("epochs", Value::UInt(self.epochs));
-        obj.set("explore_actions", Value::UInt(self.explore_actions));
-        obj.set("intra_events", Value::UInt(self.intra_events));
-        obj.set("inter_events", Value::UInt(self.inter_events));
-        obj.set("last_policy", usize_arr(&self.last_policy));
-        obj.set("stable_epochs", Value::UInt(self.stable_epochs));
+        obj.set("epochs", self.epochs)
+            .set("explore_actions", self.explore_actions)
+            .set("intra_events", self.intra_events)
+            .set("inter_events", self.inter_events)
+            .set("last_policy", self.last_policy.as_slice())
+            .set("stable_epochs", self.stable_epochs);
         if let Some(epoch) = self.convergence_epoch {
-            obj.set("convergence_epoch", Value::UInt(epoch));
+            obj.set("convergence_epoch", epoch);
         }
-        obj.set("use_static_until", Value::UInt(self.use_static_until));
+        obj.set("use_static_until", self.use_static_until);
         if let Some(d) = &self.last_decision {
             let mut dec = Value::object();
-            dec.set("stress", Value::num(d.stress));
-            dec.set("aging", Value::num(d.aging));
-            dec.set("state", Value::UInt(d.state.index() as u64));
-            dec.set("action", Value::UInt(d.action as u64));
-            dec.set("reward", Value::num(d.reward));
-            dec.set("alpha", Value::num(d.alpha));
+            dec.set("stress", d.stress)
+                .set("aging", d.aging)
+                .set("state", d.state.index())
+                .set("action", d.action)
+                .set("reward", d.reward)
+                .set("alpha", d.alpha);
             obj.set("last_decision", dec);
         }
         obj
@@ -175,88 +135,48 @@ impl AgentSnapshot {
     ///
     /// Fails on missing or mistyped fields.
     pub fn from_value(v: &Value) -> Result<AgentSnapshot, JsonError> {
-        let pair = |name: &str| -> Result<Option<(f64, f64)>, JsonError> {
-            match v.get(name).and_then(Value::as_array) {
-                None => Ok(None),
-                Some([a, b]) => Ok(Some((
-                    a.as_f64()
-                        .ok_or_else(|| JsonError::new(format!("bad float in {name:?}")))?,
-                    b.as_f64()
-                        .ok_or_else(|| JsonError::new(format!("bad float in {name:?}")))?,
-                ))),
-                Some(_) => Err(JsonError::new(format!("{name:?} must have two entries"))),
-            }
-        };
-        let trec = v
-            .get("trec")
-            .and_then(Value::as_array)
-            .ok_or_else(|| JsonError::new("agent snapshot missing \"trec\""))?
-            .iter()
-            .map(|core| {
-                core.as_array()
-                    .ok_or_else(|| JsonError::new("trec rows must be arrays"))?
-                    .iter()
-                    .map(|x| {
-                        x.as_f64()
-                            .ok_or_else(|| JsonError::new("bad float in \"trec\""))
-                    })
-                    .collect::<Result<Vec<f64>, JsonError>>()
-            })
-            .collect::<Result<Vec<Vec<f64>>, JsonError>>()?;
-        let prev = match v.get("prev").and_then(Value::as_array) {
+        let detector_prev_ma = match v.opt_field::<Vec<f64>>("detector_prev_ma")?.as_deref() {
             None => None,
-            Some([s, a]) => Some((
-                s.as_u64()
-                    .ok_or_else(|| JsonError::new("bad state in \"prev\""))?
-                    as usize,
-                a.as_u64()
-                    .ok_or_else(|| JsonError::new("bad action in \"prev\""))?
-                    as usize,
-            )),
+            Some(&[stress, aging]) => Some((stress, aging)),
+            Some(_) => return Err(JsonError::new("\"detector_prev_ma\" must have two entries")),
+        };
+        let prev = match v.opt_field::<Vec<usize>>("prev")?.as_deref() {
+            None => None,
+            Some(&[state, action]) => Some((state, action)),
             Some(_) => return Err(JsonError::new("\"prev\" must have two entries")),
         };
-        let last_decision = match v.get("last_decision") {
+        let last_decision = match v.opt_field::<&Value>("last_decision")? {
             None => None,
             Some(dec) => Some(EpochDecision {
-                stress: get_f64(dec, "stress")?,
-                aging: get_f64(dec, "aging")?,
-                state: StateId(get_u64(dec, "state")? as usize),
-                action: get_u64(dec, "action")? as usize,
-                reward: get_f64(dec, "reward")?,
-                alpha: get_f64(dec, "alpha")?,
+                stress: dec.field("stress")?,
+                aging: dec.field("aging")?,
+                state: StateId(dec.field("state")?),
+                action: dec.field("action")?,
+                reward: dec.field("reward")?,
+                alpha: dec.field("alpha")?,
             }),
         };
         Ok(AgentSnapshot {
-            num_threads: get_u64(v, "num_threads")? as usize,
-            num_cores: get_u64(v, "num_cores")? as usize,
-            name: v
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| JsonError::new("agent snapshot missing \"name\""))?
-                .to_string(),
-            qtable: get_f64_arr(v, "qtable")?,
-            q_exp: match v.get("q_exp") {
-                None => None,
-                Some(_) => Some(get_f64_arr(v, "q_exp")?),
-            },
-            alpha: get_f64(v, "alpha")?,
-            rng_state: get_u64(v, "rng_state")?,
-            detector_stress: get_f64_arr(v, "detector_stress")?,
-            detector_aging: get_f64_arr(v, "detector_aging")?,
-            detector_prev_ma: pair("detector_prev_ma")?,
-            trec,
+            num_threads: v.field("num_threads")?,
+            num_cores: v.field("num_cores")?,
+            name: v.field("name")?,
+            qtable: v.field("qtable")?,
+            q_exp: v.opt_field("q_exp")?,
+            alpha: v.field("alpha")?,
+            rng_state: v.field("rng_state")?,
+            detector_stress: v.field("detector_stress")?,
+            detector_aging: v.field("detector_aging")?,
+            detector_prev_ma,
+            trec: v.field("trec")?,
             prev,
-            epochs: get_u64(v, "epochs")?,
-            explore_actions: get_u64(v, "explore_actions")?,
-            intra_events: get_u64(v, "intra_events")?,
-            inter_events: get_u64(v, "inter_events")?,
-            last_policy: get_usize_arr(v, "last_policy")?,
-            stable_epochs: get_u64(v, "stable_epochs")?,
-            convergence_epoch: match v.get("convergence_epoch") {
-                None => None,
-                Some(_) => Some(get_u64(v, "convergence_epoch")?),
-            },
-            use_static_until: get_u64(v, "use_static_until")?,
+            epochs: v.field("epochs")?,
+            explore_actions: v.field("explore_actions")?,
+            intra_events: v.field("intra_events")?,
+            inter_events: v.field("inter_events")?,
+            last_policy: v.field("last_policy")?,
+            stable_epochs: v.field("stable_epochs")?,
+            convergence_epoch: v.opt_field("convergence_epoch")?,
+            use_static_until: v.field("use_static_until")?,
             last_decision,
         })
     }

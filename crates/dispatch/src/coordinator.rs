@@ -28,8 +28,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use thermorl_json::Value;
 use thermorl_runner::JobSource;
-use thermorl_sim::json::Value;
 use thermorl_telemetry as tel;
 
 use crate::proto::{read_message, write_message, Lease, Message, StatusReport, PROTOCOL_VERSION};
@@ -383,9 +383,9 @@ impl State {
 /// would checkpoint as).
 fn timeout_line(key: &str, seed: u64) -> String {
     let mut obj = Value::object();
-    obj.set("key", Value::Str(key.to_string()));
-    obj.set("seed", Value::UInt(seed));
-    obj.set("status", Value::Str("timeout".into()));
+    obj.set("key", key)
+        .set("seed", seed)
+        .set("status", "timeout");
     obj.to_json()
 }
 

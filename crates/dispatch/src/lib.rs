@@ -40,7 +40,7 @@ pub mod worker;
 
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use thermorl_runner::{Campaign, JobSource};
@@ -134,31 +134,12 @@ fn resolve_addr(addr: &str, addr_file: &Option<PathBuf>) -> Result<String, Strin
     }
 }
 
-/// Writes the telemetry snapshot accumulated since `baseline` to `path`
-/// (plus structured events to the sibling `*.events.jsonl`), mirroring
-/// the runner's `--telemetry` output.
-fn write_telemetry(path: &PathBuf, baseline: &tel::Snapshot, progress: bool) -> Result<(), String> {
+/// Writes the telemetry accumulated since `baseline` to `path` and its
+/// `*.events.jsonl` sibling (see `Snapshot::write_files`).
+fn write_telemetry(path: &Path, baseline: &tel::Snapshot, progress: bool) -> Result<(), String> {
     let snap = tel::snapshot().since(baseline);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("cannot create telemetry dir {}: {e}", parent.display()))?;
-        }
-    }
-    std::fs::write(path, snap.to_json() + "\n")
-        .map_err(|e| format!("cannot write telemetry {}: {e}", path.display()))?;
-    let events_path = path.with_extension("events.jsonl");
-    let mut lines = String::new();
-    for event in &snap.events {
-        lines.push_str(&tel::event_jsonl(event));
-        lines.push('\n');
-    }
-    std::fs::write(&events_path, lines).map_err(|e| {
-        format!(
-            "cannot write telemetry events {}: {e}",
-            events_path.display()
-        )
-    })?;
+    snap.write_files(path)
+        .map_err(|e| format!("cannot write telemetry: {e}"))?;
     if progress {
         let table = snap.render_span_table(10);
         if !table.is_empty() {

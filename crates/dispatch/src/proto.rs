@@ -17,7 +17,7 @@
 
 use std::io::{self, BufRead, Read, Write};
 
-use thermorl_sim::json::Value;
+use thermorl_json::Value;
 use thermorl_telemetry::{slo_summary, summarize_traces, SloConfig, SloSummary, TraceSummary};
 
 /// Protocol version sent in `hello`; the coordinator rejects mismatches
@@ -41,74 +41,6 @@ pub trait WireMessage: Sized {
     fn parse(line: &str) -> Result<Self, String>;
 }
 
-/// Required string field of a parsed message object (`tag` names the
-/// message type in the error).
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a string.
-pub fn str_field(v: &Value, tag: &str, name: &str) -> Result<String, String> {
-    v.get(name)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{tag} message missing {name:?}"))
-}
-
-/// Optional string field of a parsed message object.
-pub fn opt_str_field(v: &Value, name: &str) -> Option<String> {
-    v.get(name).and_then(Value::as_str).map(str::to_string)
-}
-
-/// Required unsigned integer field of a parsed message object.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not an unsigned integer.
-pub fn u64_field(v: &Value, tag: &str, name: &str) -> Result<u64, String> {
-    v.get(name)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{tag} message missing {name:?}"))
-}
-
-/// Required float field of a parsed message object.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a number.
-pub fn f64_field(v: &Value, tag: &str, name: &str) -> Result<f64, String> {
-    v.get(name)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("{tag} message missing {name:?}"))
-}
-
-/// Required bool field of a parsed message object.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a bool.
-pub fn bool_field(v: &Value, tag: &str, name: &str) -> Result<bool, String> {
-    v.get(name)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| format!("{tag} message missing {name:?}"))
-}
-
-/// Required array-of-floats field of a parsed message object.
-///
-/// # Errors
-///
-/// Fails when the field is missing or any element is not a number.
-pub fn f64_arr_field(v: &Value, tag: &str, name: &str) -> Result<Vec<f64>, String> {
-    v.get(name)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{tag} message missing {name:?}"))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .ok_or_else(|| format!("{tag} message has a bad number in {name:?}"))
-        })
-        .collect()
-}
-
 /// Required 16-hex-digit id field of a parsed message object. Trace and
 /// span ids travel as hex strings (not JSON numbers) so they survive
 /// readers that coerce every number through an `f64`.
@@ -116,23 +48,23 @@ pub fn f64_arr_field(v: &Value, tag: &str, name: &str) -> Result<Vec<f64>, Strin
 /// # Errors
 ///
 /// Fails when the field is missing, not a string, or not valid hex.
-pub fn hex_id_field(v: &Value, tag: &str, name: &str) -> Result<u64, String> {
-    let s = str_field(v, tag, name)?;
-    u64::from_str_radix(&s, 16).map_err(|_| format!("{tag} message has a bad hex id in {name:?}"))
+pub fn hex_id_field(v: &Value, name: &str) -> Result<u64, String> {
+    let s: &str = v.field(name)?;
+    u64::from_str_radix(s, 16).map_err(|_| format!("bad hex id in field {name:?}"))
 }
 
 /// Renders an SLO summary as a JSON object — the shared shape of the
 /// serve and dispatch `stats`/`trace` replies.
 pub fn slo_to_value(slo: &SloSummary) -> Value {
     let mut v = Value::object();
-    v.set("count", Value::UInt(slo.count))
-        .set("p50_ns", Value::UInt(slo.p50_ns))
-        .set("p99_ns", Value::UInt(slo.p99_ns))
-        .set("objective_ns", Value::UInt(slo.objective_ns))
-        .set("target", Value::num(slo.target))
-        .set("over_objective", Value::UInt(slo.over_objective))
-        .set("error_rate", Value::num(slo.error_rate))
-        .set("budget_burn", Value::num(slo.budget_burn));
+    v.set("count", slo.count)
+        .set("p50_ns", slo.p50_ns)
+        .set("p99_ns", slo.p99_ns)
+        .set("objective_ns", slo.objective_ns)
+        .set("target", slo.target)
+        .set("over_objective", slo.over_objective)
+        .set("error_rate", slo.error_rate)
+        .set("budget_burn", slo.budget_burn);
     v
 }
 
@@ -141,16 +73,16 @@ pub fn slo_to_value(slo: &SloSummary) -> Value {
 /// # Errors
 ///
 /// Fails when any field is missing or mistyped.
-pub fn slo_from_value(v: &Value, tag: &str) -> Result<SloSummary, String> {
+pub fn slo_from_value(v: &Value) -> Result<SloSummary, String> {
     Ok(SloSummary {
-        count: u64_field(v, tag, "count")?,
-        p50_ns: u64_field(v, tag, "p50_ns")?,
-        p99_ns: u64_field(v, tag, "p99_ns")?,
-        objective_ns: u64_field(v, tag, "objective_ns")?,
-        target: f64_field(v, tag, "target")?,
-        over_objective: u64_field(v, tag, "over_objective")?,
-        error_rate: f64_field(v, tag, "error_rate")?,
-        budget_burn: f64_field(v, tag, "budget_burn")?,
+        count: v.field("count")?,
+        p50_ns: v.field("p50_ns")?,
+        p99_ns: v.field("p99_ns")?,
+        objective_ns: v.field("objective_ns")?,
+        target: v.field("target")?,
+        over_objective: v.field("over_objective")?,
+        error_rate: v.field("error_rate")?,
+        budget_burn: v.field("budget_burn")?,
     })
 }
 
@@ -158,12 +90,12 @@ pub fn slo_from_value(v: &Value, tag: &str) -> Result<SloSummary, String> {
 /// 16-hex string).
 pub fn trace_summary_to_value(t: &TraceSummary) -> Value {
     let mut v = Value::object();
-    v.set("trace_id", Value::Str(format!("{:016x}", t.trace_id)))
-        .set("root", Value::Str(t.root_name.clone()))
-        .set("start_us", Value::UInt(t.start_us))
-        .set("dur_us", Value::UInt(t.dur_us))
-        .set("spans", Value::UInt(t.spans))
-        .set("orphans", Value::UInt(t.orphans));
+    v.set("trace_id", format!("{:016x}", t.trace_id))
+        .set("root", t.root_name.as_str())
+        .set("start_us", t.start_us)
+        .set("dur_us", t.dur_us)
+        .set("spans", t.spans)
+        .set("orphans", t.orphans);
     v
 }
 
@@ -173,14 +105,14 @@ pub fn trace_summary_to_value(t: &TraceSummary) -> Value {
 /// # Errors
 ///
 /// Fails when any field is missing or mistyped.
-pub fn trace_summary_from_value(v: &Value, tag: &str) -> Result<TraceSummary, String> {
+pub fn trace_summary_from_value(v: &Value) -> Result<TraceSummary, String> {
     Ok(TraceSummary {
-        trace_id: hex_id_field(v, tag, "trace_id")?,
-        root_name: str_field(v, tag, "root")?,
-        start_us: u64_field(v, tag, "start_us")?,
-        dur_us: u64_field(v, tag, "dur_us")?,
-        spans: u64_field(v, tag, "spans")?,
-        orphans: u64_field(v, tag, "orphans")?,
+        trace_id: hex_id_field(v, "trace_id")?,
+        root_name: v.field("root")?,
+        start_us: v.field("start_us")?,
+        dur_us: v.field("dur_us")?,
+        spans: v.field("spans")?,
+        orphans: v.field("orphans")?,
     })
 }
 
@@ -219,21 +151,15 @@ impl TraceReport {
     /// # Errors
     ///
     /// Fails when any field is missing or mistyped.
-    pub fn from_value(v: &Value, tag: &str) -> Result<TraceReport, String> {
+    pub fn from_value(v: &Value) -> Result<TraceReport, String> {
         let rows = |name: &str| -> Result<Vec<TraceSummary>, String> {
-            v.get(name)
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("{tag} message missing {name:?}"))?
+            v.field::<&[Value]>(name)?
                 .iter()
-                .map(|row| trace_summary_from_value(row, tag))
+                .map(trace_summary_from_value)
                 .collect()
         };
         Ok(TraceReport {
-            slo: slo_from_value(
-                v.get("slo")
-                    .ok_or_else(|| format!("{tag} message missing \"slo\""))?,
-                tag,
-            )?,
+            slo: slo_from_value(v.field("slo")?)?,
             slowest: rows("slowest")?,
             recent: rows("recent")?,
         })
@@ -415,11 +341,11 @@ impl Message {
                 protocol,
                 token,
             } => {
-                obj.set("type", Value::Str("hello".into()));
-                obj.set("worker", Value::Str(worker.clone()));
-                obj.set("protocol", Value::UInt(*protocol));
+                obj.set("type", "hello");
+                obj.set("worker", worker.as_str());
+                obj.set("protocol", *protocol);
                 if let Some(token) = token {
-                    obj.set("token", Value::Str(token.clone()));
+                    obj.set("token", token.as_str());
                 }
             }
             Message::LeaseRequest {
@@ -427,20 +353,17 @@ impl Message {
                 max_jobs,
                 trace,
             } => {
-                obj.set("type", Value::Str("lease_request".into()));
-                obj.set("worker", Value::Str(worker.clone()));
-                obj.set("max_jobs", Value::UInt(*max_jobs));
+                obj.set("type", "lease_request");
+                obj.set("worker", worker.as_str());
+                obj.set("max_jobs", *max_jobs);
                 if let Some(trace) = trace {
-                    obj.set("trace", Value::Str(trace.clone()));
+                    obj.set("trace", trace.as_str());
                 }
             }
             Message::Heartbeat { worker, lease_ids } => {
-                obj.set("type", Value::Str("heartbeat".into()));
-                obj.set("worker", Value::Str(worker.clone()));
-                obj.set(
-                    "lease_ids",
-                    Value::Arr(lease_ids.iter().map(|&id| Value::UInt(id)).collect()),
-                );
+                obj.set("type", "heartbeat");
+                obj.set("worker", worker.as_str());
+                obj.set("lease_ids", lease_ids.as_slice());
             }
             Message::Result {
                 worker,
@@ -448,27 +371,27 @@ impl Message {
                 line,
                 trace,
             } => {
-                obj.set("type", Value::Str("result".into()));
-                obj.set("worker", Value::Str(worker.clone()));
-                obj.set("lease_id", Value::UInt(*lease_id));
-                obj.set("line", Value::Str(line.clone()));
+                obj.set("type", "result");
+                obj.set("worker", worker.as_str());
+                obj.set("lease_id", *lease_id);
+                obj.set("line", line.as_str());
                 if let Some(trace) = trace {
-                    obj.set("trace", Value::Str(trace.clone()));
+                    obj.set("trace", trace.as_str());
                 }
             }
             Message::Status => {
-                obj.set("type", Value::Str("status".into()));
+                obj.set("type", "status");
             }
             Message::Trace { max } => {
-                obj.set("type", Value::Str("trace".into()));
-                obj.set("max", Value::UInt(*max));
+                obj.set("type", "trace");
+                obj.set("max", *max);
             }
             Message::Drain => {
-                obj.set("type", Value::Str("drain".into()));
+                obj.set("type", "drain");
             }
             Message::Goodbye { worker } => {
-                obj.set("type", Value::Str("goodbye".into()));
-                obj.set("worker", Value::Str(worker.clone()));
+                obj.set("type", "goodbye");
+                obj.set("worker", worker.as_str());
             }
             Message::Welcome {
                 campaign,
@@ -476,51 +399,51 @@ impl Message {
                 total,
                 heartbeat_ms,
             } => {
-                obj.set("type", Value::Str("welcome".into()));
-                obj.set("campaign", Value::Str(campaign.clone()));
-                obj.set("seed", Value::UInt(*seed));
-                obj.set("total", Value::UInt(*total));
-                obj.set("heartbeat_ms", Value::UInt(*heartbeat_ms));
+                obj.set("type", "welcome");
+                obj.set("campaign", campaign.as_str());
+                obj.set("seed", *seed);
+                obj.set("total", *total);
+                obj.set("heartbeat_ms", *heartbeat_ms);
             }
             Message::Grant { leases } => {
-                obj.set("type", Value::Str("grant".into()));
+                obj.set("type", "grant");
                 let leases = leases
                     .iter()
                     .map(|l| {
                         let mut v = Value::object();
-                        v.set("lease_id", Value::UInt(l.lease_id));
-                        v.set("key", Value::Str(l.key.clone()));
-                        v.set("seed", Value::UInt(l.seed));
-                        v.set("deadline_ms", Value::UInt(l.deadline_ms));
+                        v.set("lease_id", l.lease_id);
+                        v.set("key", l.key.as_str());
+                        v.set("seed", l.seed);
+                        v.set("deadline_ms", l.deadline_ms);
                         v
                     })
                     .collect();
                 obj.set("leases", Value::Arr(leases));
             }
             Message::Wait { backoff_ms } => {
-                obj.set("type", Value::Str("wait".into()));
-                obj.set("backoff_ms", Value::UInt(*backoff_ms));
+                obj.set("type", "wait");
+                obj.set("backoff_ms", *backoff_ms);
             }
             Message::Done => {
-                obj.set("type", Value::Str("done".into()));
+                obj.set("type", "done");
             }
             Message::StatusReport(report) => {
-                obj.set("type", Value::Str("status_report".into()));
-                obj.set("campaign", Value::Str(report.campaign.clone()));
-                obj.set("total", Value::UInt(report.total));
-                obj.set("completed", Value::UInt(report.completed));
-                obj.set("failed", Value::UInt(report.failed));
-                obj.set("queued", Value::UInt(report.queued));
-                obj.set("leased", Value::UInt(report.leased));
-                obj.set("draining", Value::Bool(report.draining));
+                obj.set("type", "status_report");
+                obj.set("campaign", report.campaign.as_str());
+                obj.set("total", report.total);
+                obj.set("completed", report.completed);
+                obj.set("failed", report.failed);
+                obj.set("queued", report.queued);
+                obj.set("leased", report.leased);
+                obj.set("draining", report.draining);
             }
             Message::TraceReport(report) => {
                 obj = report.to_value();
-                obj.set("type", Value::Str("trace_report".into()));
+                obj.set("type", "trace_report");
             }
             Message::Error { message } => {
-                obj.set("type", Value::Str("error".into()));
-                obj.set("message", Value::Str(message.clone()));
+                obj.set("type", "error");
+                obj.set("message", message.as_str());
             }
         }
         obj.to_json()
@@ -534,102 +457,73 @@ impl Message {
     /// required fields.
     pub fn parse(line: &str) -> Result<Message, String> {
         let v = Value::parse(line).map_err(|e| e.to_string())?;
-        let tag = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or("message missing type tag")?;
-        let str_field = |name: &str| crate::proto::str_field(&v, tag, name);
-        let u64_field = |name: &str| crate::proto::u64_field(&v, tag, name);
+        let tag: &str = v.field("type")?;
         match tag {
             "hello" => Ok(Message::Hello {
-                worker: str_field("worker")?,
-                protocol: u64_field("protocol")?,
-                token: opt_str_field(&v, "token"),
+                worker: v.field("worker")?,
+                protocol: v.field("protocol")?,
+                token: v.opt_field("token")?,
             }),
             "lease_request" => Ok(Message::LeaseRequest {
-                worker: str_field("worker")?,
-                max_jobs: u64_field("max_jobs")?,
-                trace: opt_str_field(&v, "trace"),
+                worker: v.field("worker")?,
+                max_jobs: v.field("max_jobs")?,
+                trace: v.opt_field("trace")?,
             }),
-            "heartbeat" => {
-                let lease_ids = v
-                    .get("lease_ids")
-                    .and_then(Value::as_array)
-                    .ok_or("heartbeat missing lease_ids")?
-                    .iter()
-                    .map(|id| id.as_u64().ok_or("bad lease id"))
-                    .collect::<Result<Vec<u64>, _>>()?;
-                Ok(Message::Heartbeat {
-                    worker: str_field("worker")?,
-                    lease_ids,
-                })
-            }
+            "heartbeat" => Ok(Message::Heartbeat {
+                worker: v.field("worker")?,
+                lease_ids: v.field("lease_ids")?,
+            }),
             "result" => Ok(Message::Result {
-                worker: str_field("worker")?,
-                lease_id: u64_field("lease_id")?,
-                line: str_field("line")?,
-                trace: opt_str_field(&v, "trace"),
+                worker: v.field("worker")?,
+                lease_id: v.field("lease_id")?,
+                line: v.field("line")?,
+                trace: v.opt_field("trace")?,
             }),
             "status" => Ok(Message::Status),
             "trace" => Ok(Message::Trace {
-                max: u64_field("max")?,
+                max: v.field("max")?,
             }),
             "drain" => Ok(Message::Drain),
             "goodbye" => Ok(Message::Goodbye {
-                worker: str_field("worker")?,
+                worker: v.field("worker")?,
             }),
             "welcome" => Ok(Message::Welcome {
-                campaign: str_field("campaign")?,
-                seed: u64_field("seed")?,
-                total: u64_field("total")?,
-                heartbeat_ms: u64_field("heartbeat_ms")?,
+                campaign: v.field("campaign")?,
+                seed: v.field("seed")?,
+                total: v.field("total")?,
+                heartbeat_ms: v.field("heartbeat_ms")?,
             }),
             "grant" => {
                 let leases = v
-                    .get("leases")
-                    .and_then(Value::as_array)
-                    .ok_or("grant missing leases")?
+                    .field::<&[Value]>("leases")?
                     .iter()
                     .map(|l| -> Result<Lease, String> {
                         Ok(Lease {
-                            lease_id: l
-                                .get("lease_id")
-                                .and_then(Value::as_u64)
-                                .ok_or("lease missing lease_id")?,
-                            key: l
-                                .get("key")
-                                .and_then(Value::as_str)
-                                .ok_or("lease missing key")?
-                                .to_string(),
-                            seed: l
-                                .get("seed")
-                                .and_then(Value::as_u64)
-                                .ok_or("lease missing seed")?,
-                            deadline_ms: l
-                                .get("deadline_ms")
-                                .and_then(Value::as_u64)
-                                .ok_or("lease missing deadline_ms")?,
+                            lease_id: l.field("lease_id")?,
+                            key: l.field("key")?,
+                            seed: l.field("seed")?,
+                            deadline_ms: l.field("deadline_ms")?,
                         })
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Message::Grant { leases })
             }
             "wait" => Ok(Message::Wait {
-                backoff_ms: u64_field("backoff_ms")?,
+                backoff_ms: v.field("backoff_ms")?,
             }),
             "done" => Ok(Message::Done),
             "status_report" => Ok(Message::StatusReport(StatusReport {
-                campaign: str_field("campaign")?,
-                total: u64_field("total")?,
-                completed: u64_field("completed")?,
-                failed: u64_field("failed")?,
-                queued: u64_field("queued")?,
-                leased: u64_field("leased")?,
-                draining: bool_field(&v, tag, "draining")?,
+                campaign: v.field("campaign")?,
+                total: v.field("total")?,
+                completed: v.field("completed")?,
+                failed: v.field("failed")?,
+                queued: v.field("queued")?,
+                leased: v.field("leased")?,
+                draining: v.field("draining")?,
             })),
-            "trace_report" => Ok(Message::TraceReport(TraceReport::from_value(&v, tag)?)),
+            "trace_report" => Ok(Message::TraceReport(TraceReport::from_value(&v)?)),
             "error" => Ok(Message::Error {
-                message: str_field("message")?,
+                message: v.field("message")?,
             }),
             other => Err(format!("unknown message type {other:?}")),
         }
@@ -701,9 +595,9 @@ pub fn read_message<R: BufRead, M: WireMessage>(reader: &mut R) -> io::Result<Op
 mod tests {
     use super::*;
 
-    #[test]
-    fn all_messages_round_trip() {
-        let messages = vec![
+    /// One message of every kind, some in more than one shape.
+    fn every_kind() -> Vec<Message> {
+        vec![
             Message::Hello {
                 worker: "w1".into(),
                 protocol: PROTOCOL_VERSION,
@@ -789,8 +683,12 @@ mod tests {
             Message::Error {
                 message: "protocol mismatch".into(),
             },
-        ];
-        for message in messages {
+        ]
+    }
+
+    #[test]
+    fn all_messages_round_trip() {
+        for message in every_kind() {
             let line = message.to_line();
             assert!(!line.contains('\n'), "single line: {line}");
             let back = Message::parse(&line).expect("parse");
@@ -857,6 +755,49 @@ mod tests {
         write_message(&mut wire, &result("a".repeat(MAX_LINE - overhead + 1))).expect("write");
         let mut reader = std::io::Cursor::new(wire);
         assert!(read_message::<_, Message>(&mut reader).is_err());
+    }
+
+    /// Every prefix of a real line of each kind parses to `Ok` or `Err`,
+    /// never a panic.
+    #[test]
+    fn parse_never_panics_on_line_prefixes() {
+        for message in every_kind() {
+            let line = message.to_line();
+            for end in (0..line.len()).filter(|&end| line.is_char_boundary(end)) {
+                let _ = Message::parse(&line[..end]);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// Real lines with random byte edits (a byte overwritten,
+        /// inserted or deleted; invalid UTF-8 included): the framed
+        /// reader and, for text that is still UTF-8, `Message::parse`
+        /// return `Ok` or `Err`, never a panic.
+        #[test]
+        fn parse_never_panics_on_byte_edits(
+            kind in 0usize..64,
+            edits in proptest::collection::vec((0usize..4096, 0u8..=255, 0u8..3), 1..8),
+        ) {
+            let kinds = every_kind();
+            let mut bytes = kinds[kind % kinds.len()].to_line().into_bytes();
+            for (at, byte, op) in edits {
+                let at = at % (bytes.len() + 1);
+                match op {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            if let Ok(text) = std::str::from_utf8(&bytes) {
+                let _ = Message::parse(text);
+            }
+            let _ = read_message::<_, Message>(&mut std::io::Cursor::new(bytes));
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use thermorl_sim::json::Value;
+use thermorl_json::Value;
 
 /// How [`CheckpointStore::ingest`] filed a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,6 +146,17 @@ impl CheckpointStore {
                 format!("unparsable checkpoint line: {line:?}"),
             )
         })?;
+        self.ingest_with(meta, line)
+    }
+
+    /// [`CheckpointStore::ingest`] for a line whose key and status the
+    /// caller already knows (because it built the line), without parsing
+    /// it again.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the append cannot be flushed.
+    pub fn ingest_with(&mut self, meta: LineMeta, line: &str) -> std::io::Result<Ingest> {
         if self.completed.contains(&meta.key) {
             return Ok(Ingest::Duplicate);
         }
@@ -205,8 +216,27 @@ mod tests {
             "a stale failure cannot shadow a success"
         );
 
+        // A caller that knows the key and status files the line unparsed,
+        // under the same rules.
+        let meta = |key: &str, ok| LineMeta {
+            key: key.into(),
+            ok,
+        };
+        assert_eq!(
+            store
+                .ingest_with(meta("a", false), "not parsed")
+                .expect("dup"),
+            Ingest::Duplicate
+        );
+        assert_eq!(
+            store
+                .ingest_with(meta("b", false), &fail_line("b"))
+                .expect("b"),
+            Ingest::Failed
+        );
+
         let text = std::fs::read_to_string(&path).expect("read");
-        assert_eq!(text.lines().count(), 2, "one failure + one success");
+        assert_eq!(text.lines().count(), 3, "two failures + one success");
         assert!(store.ingest("garbage").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

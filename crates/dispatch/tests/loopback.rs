@@ -12,8 +12,8 @@ use thermorl_dispatch::proto::{read_message, write_message};
 use thermorl_dispatch::{
     control, Coordinator, CoordinatorConfig, Message, WorkerConfig, PROTOCOL_VERSION,
 };
+use thermorl_json::{JsonError, Value};
 use thermorl_runner::{Campaign, Codec, RunnerConfig};
-use thermorl_sim::json::{JsonError, Value};
 
 const CAMPAIGN_SEED: u64 = 0x7EE7_0001;
 const JOBS: usize = 12;

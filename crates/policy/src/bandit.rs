@@ -19,14 +19,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use thermorl_control::{ActionSpace, ControlConfig};
-use thermorl_sim::json::Value;
+use thermorl_json::Value;
 use thermorl_sim::{Actuation, Observation};
 use thermorl_telemetry as tel;
 
-use crate::codec::{
-    check_id, decision_from_value, decision_to_value, f64_arr, get_f64_arr, get_u64, get_u64_arr,
-    u64_arr,
-};
+use crate::codec::{check_id, decision_to_value, last_decision_field};
 use crate::window::HazardWindow;
 use crate::{DecisionRecord, EpochStats, Policy, PolicyId};
 
@@ -134,18 +131,18 @@ impl BanditCore {
     fn snapshot(&self, rng_state: Option<u64>) -> Option<Value> {
         let (num_threads, num_cores) = self.started?;
         let mut obj = Value::object();
-        obj.set("id", Value::Str(self.id.as_str().to_string()));
-        obj.set("name", Value::Str(self.name.clone()));
-        obj.set("num_threads", Value::UInt(num_threads as u64));
-        obj.set("num_cores", Value::UInt(num_cores as u64));
-        obj.set("counts", u64_arr(&self.counts));
-        obj.set("means", f64_arr(&self.means));
+        obj.set("id", self.id.as_str())
+            .set("name", self.name.as_str())
+            .set("num_threads", num_threads)
+            .set("num_cores", num_cores)
+            .set("counts", self.counts.as_slice())
+            .set("means", self.means.as_slice());
         if let Some(prev) = self.prev {
-            obj.set("prev", Value::UInt(prev as u64));
+            obj.set("prev", prev);
         }
-        obj.set("epochs", Value::UInt(self.epochs));
+        obj.set("epochs", self.epochs);
         if let Some(state) = rng_state {
-            obj.set("rng_state", Value::UInt(state));
+            obj.set("rng_state", state);
         }
         obj.set("window", self.window.to_value());
         if let Some(d) = &self.last {
@@ -156,11 +153,9 @@ impl BanditCore {
 
     fn restore(&mut self, v: &Value) -> Result<(), String> {
         check_id(v, self.id.as_str())?;
-        let num_threads = get_u64(v, "num_threads")? as usize;
-        let num_cores = get_u64(v, "num_cores")? as usize;
-        self.on_start(num_threads, num_cores);
-        let counts = get_u64_arr(v, "counts")?;
-        let means = get_f64_arr(v, "means")?;
+        self.on_start(v.field("num_threads")?, v.field("num_cores")?);
+        let counts: Vec<u64> = v.field("counts")?;
+        let means: Vec<f64> = v.field("means")?;
         if counts.len() != self.arms() || means.len() != self.arms() {
             return Err(format!(
                 "snapshot arm count {} does not match action space {}",
@@ -170,20 +165,11 @@ impl BanditCore {
         }
         self.counts = counts;
         self.means = means;
-        self.prev = match v.get("prev") {
-            None => None,
-            Some(_) => Some(get_u64(v, "prev")? as usize),
-        };
-        self.epochs = get_u64(v, "epochs")?;
-        self.window.restore(
-            v.get("window")
-                .ok_or("policy snapshot missing \"window\"")?,
-        )?;
-        self.last = match v.get("last_decision") {
-            None => None,
-            Some(d) => Some(decision_from_value(d)?),
-        };
-        self.name = crate::codec::get_str(v, "name")?.to_string();
+        self.prev = v.opt_field("prev")?;
+        self.epochs = v.field("epochs")?;
+        self.window.restore(v.field("window")?)?;
+        self.last = last_decision_field(v)?;
+        self.name = v.field("name")?;
         Ok(())
     }
 }
@@ -265,7 +251,7 @@ impl Policy for EpsilonGreedyPolicy {
 
     fn restore(&mut self, v: &Value) -> Result<(), String> {
         self.core.restore(v)?;
-        self.rng = StdRng::from_state(get_u64(v, "rng_state")?);
+        self.rng = StdRng::from_state(v.field("rng_state")?);
         Ok(())
     }
 }
@@ -438,7 +424,7 @@ impl Policy for ThompsonPolicy {
 
     fn restore(&mut self, v: &Value) -> Result<(), String> {
         self.core.restore(v)?;
-        self.rng = StdRng::from_state(get_u64(v, "rng_state")?);
+        self.rng = StdRng::from_state(v.field("rng_state")?);
         Ok(())
     }
 }

@@ -1,54 +1,10 @@
-//! Private JSON field helpers shared by the zoo snapshot codecs.
+//! Snapshot pieces shared by the zoo policies' codecs.
 
-use thermorl_sim::json::Value;
-
-pub(crate) fn f64_arr(values: &[f64]) -> Value {
-    Value::Arr(values.iter().map(|&v| Value::num(v)).collect())
-}
-
-pub(crate) fn u64_arr(values: &[u64]) -> Value {
-    Value::Arr(values.iter().map(|&v| Value::UInt(v)).collect())
-}
-
-pub(crate) fn get_u64(v: &Value, name: &str) -> Result<u64, String> {
-    v.get(name)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("policy snapshot missing {name:?}"))
-}
-
-pub(crate) fn get_f64(v: &Value, name: &str) -> Result<f64, String> {
-    v.get(name)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("policy snapshot missing {name:?}"))
-}
-
-pub(crate) fn get_str<'a>(v: &'a Value, name: &str) -> Result<&'a str, String> {
-    v.get(name)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("policy snapshot missing {name:?}"))
-}
-
-pub(crate) fn get_f64_arr(v: &Value, name: &str) -> Result<Vec<f64>, String> {
-    v.get(name)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("policy snapshot missing {name:?}"))?
-        .iter()
-        .map(|x| x.as_f64().ok_or_else(|| format!("bad float in {name:?}")))
-        .collect()
-}
-
-pub(crate) fn get_u64_arr(v: &Value, name: &str) -> Result<Vec<u64>, String> {
-    v.get(name)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("policy snapshot missing {name:?}"))?
-        .iter()
-        .map(|x| x.as_u64().ok_or_else(|| format!("bad integer in {name:?}")))
-        .collect()
-}
+use thermorl_json::Value;
 
 /// Checks the snapshot's `"id"` field names the expected policy.
 pub(crate) fn check_id(v: &Value, expected: &str) -> Result<(), String> {
-    let id = get_str(v, "id")?;
+    let id: &str = v.field("id")?;
     if id != expected {
         return Err(format!("snapshot is for policy {id:?}, not {expected:?}"));
     }
@@ -58,21 +14,25 @@ pub(crate) fn check_id(v: &Value, expected: &str) -> Result<(), String> {
 /// Encodes an optional decision record.
 pub(crate) fn decision_to_value(d: &crate::DecisionRecord) -> Value {
     let mut obj = Value::object();
-    obj.set("action", Value::UInt(d.action as u64));
-    obj.set("stress", Value::num(d.stress));
-    obj.set("aging", Value::num(d.aging));
-    obj.set("reward", Value::num(d.reward));
-    obj.set("alpha", Value::num(d.alpha));
+    obj.set("action", d.action)
+        .set("stress", d.stress)
+        .set("aging", d.aging)
+        .set("reward", d.reward)
+        .set("alpha", d.alpha);
     obj
 }
 
-/// Decodes an optional decision record written by [`decision_to_value`].
-pub(crate) fn decision_from_value(v: &Value) -> Result<crate::DecisionRecord, String> {
-    Ok(crate::DecisionRecord {
-        action: get_u64(v, "action")? as usize,
-        stress: get_f64(v, "stress")?,
-        aging: get_f64(v, "aging")?,
-        reward: get_f64(v, "reward")?,
-        alpha: get_f64(v, "alpha")?,
-    })
+/// Decodes the optional `"last_decision"` record written by
+/// [`decision_to_value`].
+pub(crate) fn last_decision_field(v: &Value) -> Result<Option<crate::DecisionRecord>, String> {
+    let Some(d) = v.opt_field::<&Value>("last_decision")? else {
+        return Ok(None);
+    };
+    Ok(Some(crate::DecisionRecord {
+        action: d.field("action")?,
+        stress: d.field("stress")?,
+        aging: d.field("aging")?,
+        reward: d.field("reward")?,
+        alpha: d.field("alpha")?,
+    }))
 }

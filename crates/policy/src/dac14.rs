@@ -10,7 +10,7 @@
 //! Q-table bits identical to driving the raw controller.
 
 use thermorl_control::{AgentSnapshot, ControlConfig, DasDac14Controller};
-use thermorl_sim::json::Value;
+use thermorl_json::Value;
 use thermorl_sim::{Actuation, Observation, ThermalController};
 use thermorl_telemetry as tel;
 
@@ -90,7 +90,7 @@ impl Policy for Dac14Policy {
     }
 
     fn restore(&mut self, v: &Value) -> Result<(), String> {
-        let snap = AgentSnapshot::from_value(v).map_err(|e| e.to_string())?;
+        let snap = AgentSnapshot::from_value(v)?;
         self.agent = DasDac14Controller::restore(self.cfg.clone(), &snap);
         Ok(())
     }

@@ -40,7 +40,7 @@ pub mod tournament;
 pub mod window;
 
 use thermorl_control::ControlConfig;
-use thermorl_sim::json::Value;
+use thermorl_json::Value;
 use thermorl_sim::{Actuation, Observation, ThermalController};
 
 pub use bandit::{EpsilonGreedyPolicy, ThompsonPolicy, Ucb1Policy};

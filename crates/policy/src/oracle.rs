@@ -13,13 +13,13 @@
 //! should beat on energy-vs-MTTF after convergence.
 
 use thermorl_control::{ActionSpace, ControlConfig};
+use thermorl_json::Value;
 use thermorl_platform::GovernorKind;
-use thermorl_sim::json::Value;
 use thermorl_sim::{Actuation, Observation};
 use thermorl_telemetry as tel;
 use thermorl_thermal::{DieModel, DieParams, Floorplan};
 
-use crate::codec::{check_id, decision_from_value, decision_to_value, get_str, get_u64};
+use crate::codec::{check_id, decision_to_value, last_decision_field};
 use crate::window::HazardWindow;
 use crate::{DecisionRecord, Policy, PolicyId};
 
@@ -230,12 +230,12 @@ impl Policy for OraclePolicy {
     fn snapshot(&self) -> Option<Value> {
         let (num_threads, num_cores) = self.started?;
         let mut obj = Value::object();
-        obj.set("id", Value::Str(PolicyId::Oracle.as_str().to_string()));
-        obj.set("name", Value::Str(self.name.clone()));
-        obj.set("num_threads", Value::UInt(num_threads as u64));
-        obj.set("num_cores", Value::UInt(num_cores as u64));
-        obj.set("epochs", Value::UInt(self.epochs));
-        obj.set("window", self.window.to_value());
+        obj.set("id", PolicyId::Oracle.as_str())
+            .set("name", self.name.as_str())
+            .set("num_threads", num_threads)
+            .set("num_cores", num_cores)
+            .set("epochs", self.epochs)
+            .set("window", self.window.to_value());
         if let Some(d) = &self.last {
             obj.set("last_decision", decision_to_value(d));
         }
@@ -244,19 +244,11 @@ impl Policy for OraclePolicy {
 
     fn restore(&mut self, v: &Value) -> Result<(), String> {
         check_id(v, PolicyId::Oracle.as_str())?;
-        let num_threads = get_u64(v, "num_threads")? as usize;
-        let num_cores = get_u64(v, "num_cores")? as usize;
-        self.on_start(num_threads, num_cores);
-        self.epochs = get_u64(v, "epochs")?;
-        self.window.restore(
-            v.get("window")
-                .ok_or("policy snapshot missing \"window\"")?,
-        )?;
-        self.last = match v.get("last_decision") {
-            None => None,
-            Some(d) => Some(decision_from_value(d)?),
-        };
-        self.name = get_str(v, "name")?.to_string();
+        self.on_start(v.field("num_threads")?, v.field("num_cores")?);
+        self.epochs = v.field("epochs")?;
+        self.window.restore(v.field("window")?)?;
+        self.last = last_decision_field(v)?;
+        self.name = v.field("name")?;
         Ok(())
     }
 }

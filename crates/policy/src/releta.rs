@@ -13,14 +13,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use thermorl_control::{ActionSpace, ControlConfig, QTable, StateId};
-use thermorl_sim::json::Value;
+use thermorl_json::Value;
 use thermorl_sim::{Actuation, Observation};
 use thermorl_telemetry as tel;
 
-use crate::codec::{
-    check_id, decision_from_value, decision_to_value, f64_arr, get_f64, get_f64_arr, get_str,
-    get_u64,
-};
+use crate::codec::{check_id, decision_to_value, last_decision_field};
 use crate::window::HazardWindow;
 use crate::{DecisionRecord, Policy, PolicyId};
 
@@ -180,23 +177,20 @@ impl Policy for ReletaPolicy {
         let (num_threads, num_cores) = self.started?;
         let qtable = self.qtable.as_ref()?;
         let mut obj = Value::object();
-        obj.set("id", Value::Str(PolicyId::Releta.as_str().to_string()));
-        obj.set("name", Value::Str(self.name.clone()));
-        obj.set("num_threads", Value::UInt(num_threads as u64));
-        obj.set("num_cores", Value::UInt(num_cores as u64));
-        obj.set("qtable", f64_arr(&qtable.snapshot()));
+        obj.set("id", PolicyId::Releta.as_str())
+            .set("name", self.name.as_str())
+            .set("num_threads", num_threads)
+            .set("num_cores", num_cores)
+            .set("qtable", qtable.snapshot().as_slice());
         if let Some((s, a)) = self.prev {
-            obj.set(
-                "prev",
-                Value::Arr(vec![Value::UInt(s as u64), Value::UInt(a as u64)]),
-            );
+            obj.set("prev", &[s, a][..]);
         }
         if let Some(avg) = self.prev_avg {
-            obj.set("prev_avg", Value::num(avg));
+            obj.set("prev_avg", avg);
         }
-        obj.set("epochs", Value::UInt(self.epochs));
-        obj.set("rng_state", Value::UInt(self.rng.state()));
-        obj.set("window", self.window.to_value());
+        obj.set("epochs", self.epochs)
+            .set("rng_state", self.rng.state())
+            .set("window", self.window.to_value());
         if let Some(d) = &self.last {
             obj.set("last_decision", decision_to_value(d));
         }
@@ -205,10 +199,8 @@ impl Policy for ReletaPolicy {
 
     fn restore(&mut self, v: &Value) -> Result<(), String> {
         check_id(v, PolicyId::Releta.as_str())?;
-        let num_threads = get_u64(v, "num_threads")? as usize;
-        let num_cores = get_u64(v, "num_cores")? as usize;
-        self.on_start(num_threads, num_cores);
-        let table = get_f64_arr(v, "qtable")?;
+        self.on_start(v.field("num_threads")?, v.field("num_cores")?);
+        let table: Vec<f64> = v.field("qtable")?;
         let q = self.qtable.as_mut().expect("on_start builds the table");
         if table.len() != q.snapshot().len() {
             return Err(format!(
@@ -218,29 +210,17 @@ impl Policy for ReletaPolicy {
             ));
         }
         q.restore(&table);
-        self.prev = match v.get("prev").and_then(Value::as_array) {
+        self.prev = match v.opt_field::<Vec<usize>>("prev")?.as_deref() {
             None => None,
-            Some([s, a]) => Some((
-                s.as_u64().ok_or("bad state in \"prev\"")? as usize,
-                a.as_u64().ok_or("bad action in \"prev\"")? as usize,
-            )),
+            Some(&[s, a]) => Some((s, a)),
             Some(_) => return Err("\"prev\" must have two entries".into()),
         };
-        self.prev_avg = match v.get("prev_avg") {
-            None => None,
-            Some(_) => Some(get_f64(v, "prev_avg")?),
-        };
-        self.epochs = get_u64(v, "epochs")?;
-        self.rng = StdRng::from_state(get_u64(v, "rng_state")?);
-        self.window.restore(
-            v.get("window")
-                .ok_or("policy snapshot missing \"window\"")?,
-        )?;
-        self.last = match v.get("last_decision") {
-            None => None,
-            Some(d) => Some(decision_from_value(d)?),
-        };
-        self.name = get_str(v, "name")?.to_string();
+        self.prev_avg = v.opt_field("prev_avg")?;
+        self.epochs = v.field("epochs")?;
+        self.rng = StdRng::from_state(v.field("rng_state")?);
+        self.window.restore(v.field("window")?)?;
+        self.last = last_decision_field(v)?;
+        self.name = v.field("name")?;
         Ok(())
     }
 }

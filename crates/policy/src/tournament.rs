@@ -9,7 +9,7 @@
 //! campaign driver (keys, checkpoints, shards) lives in the bench
 //! `tournament` binary on top of `thermorl-runner`.
 
-use thermorl_sim::json::Value;
+use thermorl_json::Value;
 use thermorl_sim::{AmbientProfile, RunOutcome, SimConfig};
 use thermorl_thermal::{Floorplan, SensorParams, Stepper};
 use thermorl_workload::{Scenario, SyntheticGenerator, SyntheticSpace};

@@ -10,8 +10,8 @@
 //! count-change behaviour), plus the window-level temperature statistics
 //! the ReLeTA variant and the oracle consume.
 
+use thermorl_json::{FromJson, Value};
 use thermorl_reliability::{ReliabilityAnalyzer, ThermalProfile};
-use thermorl_sim::json::Value;
 
 /// What one completed decision epoch looked like.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,7 +103,7 @@ impl HazardWindow {
         Value::Arr(
             self.trec
                 .iter()
-                .map(|core| Value::Arr(core.iter().map(|&t| Value::num(t)).collect()))
+                .map(|core| core.as_slice().into())
                 .collect(),
         )
     }
@@ -114,18 +114,7 @@ impl HazardWindow {
     ///
     /// Fails on a non-array value or non-float samples.
     pub fn restore(&mut self, v: &Value) -> Result<(), String> {
-        let rows = v.as_array().ok_or("window snapshot must be an array")?;
-        let mut trec = Vec::with_capacity(rows.len());
-        for row in rows {
-            let samples = row
-                .as_array()
-                .ok_or("window rows must be arrays")?
-                .iter()
-                .map(|x| x.as_f64().ok_or("bad float in window"))
-                .collect::<Result<Vec<f64>, _>>()?;
-            trec.push(samples);
-        }
-        self.trec = trec;
+        self.trec = Vec::from_json(v).ok_or("window snapshot must be an array of float arrays")?;
         Ok(())
     }
 }

@@ -62,7 +62,7 @@ proptest! {
         let line = snap.to_json();
         let mut twin = id.build(cfg, seed.wrapping_add(1) ^ 0xBAD_5EED);
         twin.on_start(THREADS, CORES);
-        twin.restore(&thermorl_sim::json::Value::parse(&line).expect("parse"))
+        twin.restore(&thermorl_json::Value::parse(&line).expect("parse"))
             .expect("restore");
 
         // Restored state re-serializes byte-identically…

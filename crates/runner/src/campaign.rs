@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use thermorl_sim::json::Value;
+use thermorl_json::Value;
 use thermorl_sim::{run_scenario, RunOutcome, SimConfig, ThermalController};
 use thermorl_telemetry as tel;
 use thermorl_workload::Scenario;
@@ -365,27 +365,8 @@ impl<T: Send + 'static> Campaign<T> {
 
         if let Some(path) = &config.telemetry {
             let snap = tel::snapshot().since(&tel_baseline);
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent).unwrap_or_else(|e| {
-                        panic!("cannot create telemetry dir {}: {e}", parent.display())
-                    });
-                }
-            }
-            std::fs::write(path, snap.to_json() + "\n")
-                .unwrap_or_else(|e| panic!("cannot write telemetry {}: {e}", path.display()));
-            let events_path = path.with_extension("events.jsonl");
-            let mut lines = String::new();
-            for event in &snap.events {
-                lines.push_str(&tel::event_jsonl(event));
-                lines.push('\n');
-            }
-            std::fs::write(&events_path, lines).unwrap_or_else(|e| {
-                panic!(
-                    "cannot write telemetry events {}: {e}",
-                    events_path.display()
-                )
-            });
+            snap.write_files(path)
+                .unwrap_or_else(|e| panic!("cannot write telemetry: {e}"));
             if config.progress {
                 let table = snap.render_span_table(10);
                 if !table.is_empty() {
@@ -601,7 +582,7 @@ pub fn scenario_grid(
 mod tests {
     use super::*;
     use crate::job::JobOutcome;
-    use thermorl_sim::json::JsonError;
+    use thermorl_json::JsonError;
 
     fn u64_codec() -> Codec<u64> {
         Codec {

@@ -21,7 +21,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use thermorl_sim::json::{JsonError, Value};
+use thermorl_json::{JsonError, Value};
 use thermorl_telemetry::Snapshot;
 
 use crate::job::{JobOutcome, JobRecord};
@@ -87,24 +87,11 @@ pub fn record_line<T>(record: &JobRecord<T>, codec: &Codec<T>) -> String {
 /// Parses one checkpoint line back into a (resumed) record.
 pub fn parse_line<T>(line: &str, codec: &Codec<T>) -> Result<JobRecord<T>, JsonError> {
     let value = Value::parse(line)?;
-    let key = value
-        .get("key")
-        .and_then(Value::as_str)
-        .ok_or_else(|| JsonError::new("checkpoint line missing key"))?
-        .to_string();
+    let key = value.field("key")?;
     // Optional: pre-policy checkpoints simply have no tag.
-    let policy = value
-        .get("policy")
-        .and_then(Value::as_str)
-        .map(String::from);
-    let seed = value
-        .get("seed")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| JsonError::new("checkpoint line missing seed"))?;
-    let status = value
-        .get("status")
-        .and_then(Value::as_str)
-        .ok_or_else(|| JsonError::new("checkpoint line missing status"))?;
+    let policy = value.opt_field("policy")?;
+    let seed = value.field("seed")?;
+    let status: &str = value.field("status")?;
     // Optional and tolerant: pre-telemetry checkpoints simply have no
     // "metrics" object, and unrecognisable entries are dropped rather than
     // failing the resume.
@@ -120,18 +107,11 @@ pub fn parse_line<T>(line: &str, codec: &Codec<T>) -> Result<JobRecord<T>, JsonE
         snap
     });
     let outcome = match status {
-        "ok" => {
-            let payload = value
-                .get("payload")
-                .ok_or_else(|| JsonError::new("ok record missing payload"))?;
-            JobOutcome::Completed((codec.decode)(payload)?)
-        }
+        "ok" => JobOutcome::Completed((codec.decode)(value.field("payload")?)?),
         "panicked" => JobOutcome::Panicked(
             value
-                .get("error")
-                .and_then(Value::as_str)
-                .unwrap_or("unknown panic")
-                .to_string(),
+                .field("error")
+                .unwrap_or_else(|_| "unknown panic".to_string()),
         ),
         "timeout" => JobOutcome::TimedOut,
         other => return Err(JsonError::new(format!("unknown status {other:?}"))),
@@ -268,7 +248,7 @@ pub fn merge(inputs: &[PathBuf], out: &Path) -> std::io::Result<usize> {
             }
             let key = Value::parse(&line)
                 .ok()
-                .and_then(|v| v.get("key").and_then(Value::as_str).map(String::from));
+                .and_then(|v| v.field::<String>("key").ok());
             match key {
                 Some(key) => {
                     if !by_key.contains_key(&key) {

@@ -7,7 +7,7 @@
 
 use std::time::{Duration, Instant};
 
-use thermorl_sim::json::Value;
+use thermorl_json::Value;
 use thermorl_telemetry::Histogram;
 
 use crate::job::{JobOutcome, JobRecord};

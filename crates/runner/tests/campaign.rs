@@ -6,8 +6,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use thermorl_json::{JsonError, Value};
 use thermorl_runner::{Campaign, Codec, JobOutcome, RunnerConfig};
-use thermorl_sim::json::{JsonError, Value};
 
 fn u64_codec() -> Codec<u64> {
     Codec {

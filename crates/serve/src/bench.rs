@@ -18,7 +18,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use thermorl_dispatch::proto::{read_message, write_message};
-use thermorl_sim::json::Value;
+use thermorl_json::Value;
 use thermorl_telemetry as tel;
 use thermorl_telemetry::Histogram;
 

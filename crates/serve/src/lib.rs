@@ -219,9 +219,10 @@ fn run_command(args: &[String]) -> Result<i32, String> {
     let quiet = config.quiet;
     let report = Supervisor::run(config).map_err(|e| format!("serve run: {e}"))?;
     if let Some(path) = &telemetry {
-        let snap = tel::snapshot().since(&baseline);
-        std::fs::write(path, snap.to_json() + "\n")
-            .map_err(|e| format!("cannot write telemetry {}: {e}", path.display()))?;
+        tel::snapshot()
+            .since(&baseline)
+            .write_files(path)
+            .map_err(|e| format!("cannot write telemetry: {e}"))?;
         if !quiet {
             eprintln!("[serve] telemetry written to {}", path.display());
         }
@@ -354,7 +355,7 @@ fn shutdown_command(args: &[String]) -> Result<i32, String> {
 }
 
 fn report_line(report: &StatsReport) -> String {
-    use thermorl_sim::json::Value;
+    use thermorl_json::Value;
     let mut v = Value::object();
     v.set("sessions_active", Value::UInt(report.sessions_active))
         .set("sessions_total", Value::UInt(report.sessions_total))

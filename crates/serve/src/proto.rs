@@ -15,11 +15,8 @@
 //! a server restart receives a decision stream identical to an
 //! uninterrupted run (see `session` module docs).
 
-use thermorl_dispatch::proto::{
-    bool_field, f64_arr_field, f64_field, opt_str_field, slo_from_value, slo_to_value, str_field,
-    u64_field, TraceReport, WireMessage,
-};
-use thermorl_sim::json::Value;
+use thermorl_dispatch::proto::{slo_from_value, slo_to_value, TraceReport, WireMessage};
+use thermorl_json::Value;
 use thermorl_telemetry::SloSummary;
 
 /// Protocol version sent in `attach`; the supervisor rejects mismatches.
@@ -53,27 +50,27 @@ pub struct Decision {
 impl Decision {
     fn to_value(&self) -> Value {
         let mut v = Value::object();
-        v.set("epoch", Value::UInt(self.epoch))
-            .set("action", Value::UInt(self.action))
-            .set("assignment", Value::Str(self.assignment.clone()))
-            .set("governor", Value::Str(self.governor.clone()))
-            .set("stress", Value::num(self.stress))
-            .set("aging", Value::num(self.aging))
-            .set("reward", Value::num(self.reward))
-            .set("alpha", Value::num(self.alpha));
+        v.set("epoch", self.epoch)
+            .set("action", self.action)
+            .set("assignment", self.assignment.as_str())
+            .set("governor", self.governor.as_str())
+            .set("stress", self.stress)
+            .set("aging", self.aging)
+            .set("reward", self.reward)
+            .set("alpha", self.alpha);
         v
     }
 
     fn from_value(v: &Value) -> Result<Decision, String> {
         Ok(Decision {
-            epoch: u64_field(v, "decision", "epoch")?,
-            action: u64_field(v, "decision", "action")?,
-            assignment: str_field(v, "decision", "assignment")?,
-            governor: str_field(v, "decision", "governor")?,
-            stress: f64_field(v, "decision", "stress")?,
-            aging: f64_field(v, "decision", "aging")?,
-            reward: f64_field(v, "decision", "reward")?,
-            alpha: f64_field(v, "decision", "alpha")?,
+            epoch: v.field("epoch")?,
+            action: v.field("action")?,
+            assignment: v.field("assignment")?,
+            governor: v.field("governor")?,
+            stress: v.field("stress")?,
+            aging: v.field("aging")?,
+            reward: v.field("reward")?,
+            alpha: v.field("alpha")?,
         })
     }
 }
@@ -201,14 +198,14 @@ impl WireMessage for Message {
                 mode,
                 policy,
             } => {
-                v.set("type", Value::Str("attach".into()))
-                    .set("protocol", Value::UInt(*protocol))
-                    .set("die", Value::Str(die.clone()))
-                    .set("cores", Value::UInt(*cores as u64))
-                    .set("threads", Value::UInt(*threads as u64))
-                    .set("mode", Value::Str(mode.clone()));
+                v.set("type", "attach")
+                    .set("protocol", *protocol)
+                    .set("die", die.as_str())
+                    .set("cores", *cores)
+                    .set("threads", *threads)
+                    .set("mode", mode.as_str());
                 if let Some(policy) = policy {
-                    v.set("policy", Value::Str(policy.clone()));
+                    v.set("policy", policy.as_str());
                 }
             }
             Message::Attached {
@@ -217,11 +214,11 @@ impl WireMessage for Message {
                 acked_seq,
                 epochs,
             } => {
-                v.set("type", Value::Str("attached".into()))
-                    .set("die", Value::Str(die.clone()))
-                    .set("resumed", Value::Bool(*resumed))
-                    .set("acked_seq", Value::UInt(*acked_seq))
-                    .set("epochs", Value::UInt(*epochs));
+                v.set("type", "attached")
+                    .set("die", die.as_str())
+                    .set("resumed", *resumed)
+                    .set("acked_seq", *acked_seq)
+                    .set("epochs", *epochs);
             }
             Message::Observe {
                 die,
@@ -229,15 +226,12 @@ impl WireMessage for Message {
                 values,
                 trace,
             } => {
-                v.set("type", Value::Str("observe".into()))
-                    .set("die", Value::Str(die.clone()))
-                    .set("seq", Value::UInt(*seq))
-                    .set(
-                        "values",
-                        Value::Arr(values.iter().map(|x| Value::num(*x)).collect()),
-                    );
+                v.set("type", "observe")
+                    .set("die", die.as_str())
+                    .set("seq", *seq)
+                    .set("values", values.as_slice());
                 if let Some(trace) = trace {
-                    v.set("trace", Value::Str(trace.clone()));
+                    v.set("trace", trace.as_str());
                 }
             }
             Message::Ack {
@@ -246,53 +240,49 @@ impl WireMessage for Message {
                 duplicate,
                 decision,
             } => {
-                v.set("type", Value::Str("ack".into()))
-                    .set("die", Value::Str(die.clone()))
-                    .set("seq", Value::UInt(*seq))
-                    .set("duplicate", Value::Bool(*duplicate));
+                v.set("type", "ack")
+                    .set("die", die.as_str())
+                    .set("seq", *seq)
+                    .set("duplicate", *duplicate);
                 if let Some(decision) = decision {
                     v.set("decision", decision.to_value());
                 }
             }
             Message::Detach { die } => {
-                v.set("type", Value::Str("detach".into()))
-                    .set("die", Value::Str(die.clone()));
+                v.set("type", "detach").set("die", die.as_str());
             }
             Message::Detached { die, epochs } => {
-                v.set("type", Value::Str("detached".into()))
-                    .set("die", Value::Str(die.clone()))
-                    .set("epochs", Value::UInt(*epochs));
+                v.set("type", "detached")
+                    .set("die", die.as_str())
+                    .set("epochs", *epochs);
             }
             Message::Stats => {
-                v.set("type", Value::Str("stats".into()));
+                v.set("type", "stats");
             }
             Message::Report(report) => {
-                v.set("type", Value::Str("stats_report".into()))
-                    .set("sessions_active", Value::UInt(report.sessions_active))
-                    .set("sessions_total", Value::UInt(report.sessions_total))
-                    .set("observes_total", Value::UInt(report.observes_total))
-                    .set("decisions_total", Value::UInt(report.decisions_total))
-                    .set("snapshot_writes", Value::UInt(report.snapshot_writes))
+                v.set("type", "stats_report")
+                    .set("sessions_active", report.sessions_active)
+                    .set("sessions_total", report.sessions_total)
+                    .set("observes_total", report.observes_total)
+                    .set("decisions_total", report.decisions_total)
+                    .set("snapshot_writes", report.snapshot_writes)
                     .set("slo", slo_to_value(&report.slo));
             }
             Message::Trace { max } => {
-                v.set("type", Value::Str("trace".into()))
-                    .set("max", Value::UInt(*max));
+                v.set("type", "trace").set("max", *max);
             }
             Message::Traces(report) => {
                 v = report.to_value();
-                v.set("type", Value::Str("trace_report".into()));
+                v.set("type", "trace_report");
             }
             Message::Shutdown { hard } => {
-                v.set("type", Value::Str("shutdown".into()))
-                    .set("hard", Value::Bool(*hard));
+                v.set("type", "shutdown").set("hard", *hard);
             }
             Message::ShuttingDown => {
-                v.set("type", Value::Str("shutting_down".into()));
+                v.set("type", "shutting_down");
             }
             Message::Error { message } => {
-                v.set("type", Value::Str("error".into()))
-                    .set("message", Value::Str(message.clone()));
+                v.set("type", "error").set("message", message.as_str());
             }
         }
         v.to_json()
@@ -300,71 +290,62 @@ impl WireMessage for Message {
 
     fn parse(line: &str) -> Result<Message, String> {
         let v = Value::parse(line).map_err(|e| format!("invalid message JSON: {}", e.0))?;
-        let tag = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "message missing \"type\"".to_string())?
-            .to_string();
-        match tag.as_str() {
+        match v.field::<&str>("type")? {
             "attach" => Ok(Message::Attach {
-                protocol: u64_field(&v, &tag, "protocol")?,
-                die: str_field(&v, &tag, "die")?,
-                cores: u64_field(&v, &tag, "cores")? as usize,
-                threads: u64_field(&v, &tag, "threads")? as usize,
-                mode: str_field(&v, &tag, "mode")?,
-                policy: opt_str_field(&v, "policy"),
+                protocol: v.field("protocol")?,
+                die: v.field("die")?,
+                cores: v.field("cores")?,
+                threads: v.field("threads")?,
+                mode: v.field("mode")?,
+                policy: v.opt_field("policy")?,
             }),
             "attached" => Ok(Message::Attached {
-                die: str_field(&v, &tag, "die")?,
-                resumed: bool_field(&v, &tag, "resumed")?,
-                acked_seq: u64_field(&v, &tag, "acked_seq")?,
-                epochs: u64_field(&v, &tag, "epochs")?,
+                die: v.field("die")?,
+                resumed: v.field("resumed")?,
+                acked_seq: v.field("acked_seq")?,
+                epochs: v.field("epochs")?,
             }),
             "observe" => Ok(Message::Observe {
-                die: str_field(&v, &tag, "die")?,
-                seq: u64_field(&v, &tag, "seq")?,
-                values: f64_arr_field(&v, &tag, "values")?,
-                trace: opt_str_field(&v, "trace"),
+                die: v.field("die")?,
+                seq: v.field("seq")?,
+                values: v.field("values")?,
+                trace: v.opt_field("trace")?,
             }),
             "ack" => Ok(Message::Ack {
-                die: str_field(&v, &tag, "die")?,
-                seq: u64_field(&v, &tag, "seq")?,
-                duplicate: bool_field(&v, &tag, "duplicate")?,
-                decision: match v.get("decision") {
-                    Some(d) => Some(Decision::from_value(d)?),
-                    None => None,
-                },
+                die: v.field("die")?,
+                seq: v.field("seq")?,
+                duplicate: v.field("duplicate")?,
+                decision: v
+                    .opt_field::<&Value>("decision")?
+                    .map(Decision::from_value)
+                    .transpose()?,
             }),
             "detach" => Ok(Message::Detach {
-                die: str_field(&v, &tag, "die")?,
+                die: v.field("die")?,
             }),
             "detached" => Ok(Message::Detached {
-                die: str_field(&v, &tag, "die")?,
-                epochs: u64_field(&v, &tag, "epochs")?,
+                die: v.field("die")?,
+                epochs: v.field("epochs")?,
             }),
             "stats" => Ok(Message::Stats),
             "stats_report" => Ok(Message::Report(StatsReport {
-                sessions_active: u64_field(&v, &tag, "sessions_active")?,
-                sessions_total: u64_field(&v, &tag, "sessions_total")?,
-                observes_total: u64_field(&v, &tag, "observes_total")?,
-                decisions_total: u64_field(&v, &tag, "decisions_total")?,
-                snapshot_writes: u64_field(&v, &tag, "snapshot_writes")?,
-                slo: slo_from_value(
-                    v.get("slo")
-                        .ok_or_else(|| format!("{tag} message missing \"slo\""))?,
-                    &tag,
-                )?,
+                sessions_active: v.field("sessions_active")?,
+                sessions_total: v.field("sessions_total")?,
+                observes_total: v.field("observes_total")?,
+                decisions_total: v.field("decisions_total")?,
+                snapshot_writes: v.field("snapshot_writes")?,
+                slo: slo_from_value(v.field("slo")?)?,
             })),
             "trace" => Ok(Message::Trace {
-                max: u64_field(&v, &tag, "max")?,
+                max: v.field("max")?,
             }),
-            "trace_report" => Ok(Message::Traces(TraceReport::from_value(&v, &tag)?)),
+            "trace_report" => Ok(Message::Traces(TraceReport::from_value(&v)?)),
             "shutdown" => Ok(Message::Shutdown {
-                hard: bool_field(&v, &tag, "hard")?,
+                hard: v.field("hard")?,
             }),
             "shutting_down" => Ok(Message::ShuttingDown),
             "error" => Ok(Message::Error {
-                message: str_field(&v, &tag, "message")?,
+                message: v.field("message")?,
             }),
             other => Err(format!("unknown message type {other:?}")),
         }
@@ -374,6 +355,7 @@ impl WireMessage for Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thermorl_dispatch::proto::read_message;
 
     fn round_trip(msg: Message) {
         let line = msg.to_line();
@@ -382,110 +364,162 @@ mod tests {
         assert_eq!(back, msg, "round trip of {line}");
     }
 
+    /// One message of every kind, some in more than one shape.
+    fn every_kind() -> Vec<Message> {
+        vec![
+            Message::Attach {
+                protocol: SERVE_PROTOCOL_VERSION,
+                die: "die-3".into(),
+                cores: 4,
+                threads: 4,
+                mode: "power".into(),
+                policy: None,
+            },
+            Message::Attach {
+                protocol: SERVE_PROTOCOL_VERSION,
+                die: "die-3".into(),
+                cores: 4,
+                threads: 4,
+                mode: "power".into(),
+                policy: Some("ucb1".into()),
+            },
+            Message::Attached {
+                die: "die-3".into(),
+                resumed: true,
+                acked_seq: 40,
+                epochs: 4,
+            },
+            Message::Observe {
+                die: "die-3".into(),
+                seq: 41,
+                values: vec![3.5, 0.25, 1.0e-9, 12.125],
+                trace: None,
+            },
+            Message::Observe {
+                die: "die-3".into(),
+                seq: 42,
+                values: vec![3.5],
+                trace: Some("00-0000000000000000deadbeefcafef00d-0123456789abcdef-01".into()),
+            },
+            Message::Ack {
+                die: "die-3".into(),
+                seq: 41,
+                duplicate: false,
+                decision: None,
+            },
+            Message::Ack {
+                die: "die-3".into(),
+                seq: 50,
+                duplicate: false,
+                decision: Some(Decision {
+                    epoch: 5,
+                    action: 7,
+                    assignment: "packed".into(),
+                    governor: "userspace[2]".into(),
+                    stress: 0.123456789,
+                    aging: 1.0 / 3.0,
+                    reward: -0.875,
+                    alpha: 0.2,
+                }),
+            },
+            Message::Detach {
+                die: "die-3".into(),
+            },
+            Message::Detached {
+                die: "die-3".into(),
+                epochs: 5,
+            },
+            Message::Stats,
+            Message::Report(StatsReport {
+                sessions_active: 2,
+                sessions_total: 9,
+                observes_total: 1000,
+                decisions_total: 100,
+                snapshot_writes: 25,
+                slo: SloSummary {
+                    count: 1000,
+                    p50_ns: 8192,
+                    p99_ns: 131_072,
+                    objective_ns: 1_000_000,
+                    target: 0.99,
+                    over_objective: 3,
+                    error_rate: 0.003,
+                    budget_burn: 0.3,
+                },
+            }),
+            Message::Trace { max: 8 },
+            Message::Traces(TraceReport {
+                slo: SloSummary {
+                    objective_ns: 1_000_000,
+                    target: 0.99,
+                    ..SloSummary::default()
+                },
+                slowest: vec![thermorl_telemetry::TraceSummary {
+                    trace_id: 0xAB,
+                    root_name: "client.observe".into(),
+                    start_us: 4,
+                    dur_us: 900,
+                    spans: 4,
+                    orphans: 0,
+                }],
+                recent: vec![],
+            }),
+            Message::Shutdown { hard: true },
+            Message::ShuttingDown,
+            Message::Error {
+                message: "no such die".into(),
+            },
+        ]
+    }
+
     #[test]
     fn every_variant_round_trips() {
-        round_trip(Message::Attach {
-            protocol: SERVE_PROTOCOL_VERSION,
-            die: "die-3".into(),
-            cores: 4,
-            threads: 4,
-            mode: "power".into(),
-            policy: None,
-        });
-        round_trip(Message::Attach {
-            protocol: SERVE_PROTOCOL_VERSION,
-            die: "die-3".into(),
-            cores: 4,
-            threads: 4,
-            mode: "power".into(),
-            policy: Some("ucb1".into()),
-        });
-        round_trip(Message::Attached {
-            die: "die-3".into(),
-            resumed: true,
-            acked_seq: 40,
-            epochs: 4,
-        });
-        round_trip(Message::Observe {
-            die: "die-3".into(),
-            seq: 41,
-            values: vec![3.5, 0.25, 1.0e-9, 12.125],
-            trace: None,
-        });
-        round_trip(Message::Observe {
-            die: "die-3".into(),
-            seq: 42,
-            values: vec![3.5],
-            trace: Some("00-0000000000000000deadbeefcafef00d-0123456789abcdef-01".into()),
-        });
-        round_trip(Message::Ack {
-            die: "die-3".into(),
-            seq: 41,
-            duplicate: false,
-            decision: None,
-        });
-        round_trip(Message::Ack {
-            die: "die-3".into(),
-            seq: 50,
-            duplicate: false,
-            decision: Some(Decision {
-                epoch: 5,
-                action: 7,
-                assignment: "packed".into(),
-                governor: "userspace[2]".into(),
-                stress: 0.123456789,
-                aging: 1.0 / 3.0,
-                reward: -0.875,
-                alpha: 0.2,
-            }),
-        });
-        round_trip(Message::Detach {
-            die: "die-3".into(),
-        });
-        round_trip(Message::Detached {
-            die: "die-3".into(),
-            epochs: 5,
-        });
-        round_trip(Message::Stats);
-        round_trip(Message::Report(StatsReport {
-            sessions_active: 2,
-            sessions_total: 9,
-            observes_total: 1000,
-            decisions_total: 100,
-            snapshot_writes: 25,
-            slo: SloSummary {
-                count: 1000,
-                p50_ns: 8192,
-                p99_ns: 131_072,
-                objective_ns: 1_000_000,
-                target: 0.99,
-                over_objective: 3,
-                error_rate: 0.003,
-                budget_burn: 0.3,
-            },
-        }));
-        round_trip(Message::Trace { max: 8 });
-        round_trip(Message::Traces(TraceReport {
-            slo: SloSummary {
-                objective_ns: 1_000_000,
-                target: 0.99,
-                ..SloSummary::default()
-            },
-            slowest: vec![thermorl_telemetry::TraceSummary {
-                trace_id: 0xAB,
-                root_name: "client.observe".into(),
-                start_us: 4,
-                dur_us: 900,
-                spans: 4,
-                orphans: 0,
-            }],
-            recent: vec![],
-        }));
-        round_trip(Message::Shutdown { hard: true });
-        round_trip(Message::ShuttingDown);
-        round_trip(Message::Error {
-            message: "no such die".into(),
-        });
+        for message in every_kind() {
+            round_trip(message);
+        }
+    }
+
+    /// Every prefix of a real line of each kind parses to `Ok` or `Err`,
+    /// never a panic.
+    #[test]
+    fn parse_never_panics_on_line_prefixes() {
+        for message in every_kind() {
+            let line = message.to_line();
+            for end in (0..line.len()).filter(|&end| line.is_char_boundary(end)) {
+                let _ = Message::parse(&line[..end]);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// Real lines with random byte edits (a byte overwritten,
+        /// inserted or deleted; invalid UTF-8 included): the framed
+        /// reader and, for text that is still UTF-8, `Message::parse`
+        /// return `Ok` or `Err`, never a panic.
+        #[test]
+        fn parse_never_panics_on_byte_edits(
+            kind in 0usize..64,
+            edits in proptest::collection::vec((0usize..4096, 0u8..=255, 0u8..3), 1..8),
+        ) {
+            let kinds = every_kind();
+            let mut bytes = kinds[kind % kinds.len()].to_line().into_bytes();
+            for (at, byte, op) in edits {
+                let at = at % (bytes.len() + 1);
+                match op {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            if let Ok(text) = std::str::from_utf8(&bytes) {
+                let _ = Message::parse(text);
+            }
+            let _ = read_message::<_, Message>(&mut std::io::Cursor::new(bytes));
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use thermorl_sim::json::Value;
+use thermorl_json::Value;
 use thermorl_telemetry as tel;
 use thermorl_telemetry::SpanRecord;
 

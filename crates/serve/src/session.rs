@@ -22,9 +22,9 @@
 //! loopback test enforces.
 
 use thermorl_control::ControlConfig;
+use thermorl_json::Value;
 use thermorl_platform::CounterSnapshot;
 use thermorl_policy::{Policy, PolicyId};
-use thermorl_sim::json::Value;
 use thermorl_sim::Observation;
 use thermorl_telemetry as tel;
 use thermorl_thermal::{DieModel, DieParams, Floorplan, SensorBank, SensorParams};
@@ -35,6 +35,10 @@ use crate::proto::Decision;
 /// `"ok"`, so [`thermorl_dispatch::store::CheckpointStore`] appends every
 /// snapshot without deduplication and loading resolves last-wins per key.
 pub const SNAPSHOT_STATUS: &str = "snapshot";
+
+/// Most cores one session manages: the platform's affinity masks are 64
+/// bits wide.
+pub(crate) const MAX_CORES: usize = 64;
 
 /// fps reported in every observation (serving has no frame pipeline).
 pub const SERVE_FPS: f64 = 1.0;
@@ -186,8 +190,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Fails on a sequence gap or a payload whose length does not match
-    /// the core count.
+    /// Fails on a sequence gap, a payload whose length does not match the
+    /// core count, or a non-finite payload value; the session is left
+    /// unchanged.
     pub fn step(&mut self, seq: u64, values: &[f64]) -> Result<StepOutcome, String> {
         if seq <= self.seq {
             return Ok(StepOutcome {
@@ -207,6 +212,12 @@ impl Session {
             return Err(format!(
                 "payload length {} does not match {cores} cores on die {:?}",
                 values.len(),
+                self.die
+            ));
+        }
+        if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
+            return Err(format!(
+                "non-finite value {bad} in observe {seq} for die {:?}",
                 self.die
             ));
         }
@@ -277,41 +288,26 @@ impl Session {
             .snapshot()
             .expect("sessions always run on_start in new()");
         let mut v = Value::object();
-        v.set("die", Value::Str(self.die.clone()))
-            .set("mode", Value::Str(self.mode.as_str().into()))
-            .set("policy", Value::Str(self.policy_id.as_str().into()))
-            .set("seed", Value::UInt(self.seed))
-            .set("seq", Value::UInt(self.seq))
-            .set("cores", Value::UInt(self.cores as u64))
-            .set("epoch_samples", Value::UInt(self.epoch_samples as u64))
-            .set("sampling_interval", Value::num(self.sampling_interval))
+        v.set("die", self.die.as_str())
+            .set("mode", self.mode.as_str())
+            .set("policy", self.policy_id.as_str())
+            .set("seed", self.seed)
+            .set("seq", self.seq)
+            .set("cores", self.cores)
+            .set("epoch_samples", self.epoch_samples)
+            .set("sampling_interval", self.sampling_interval)
             .set("agent", agent);
         if let Some(model) = &self.model {
             let (temps, powers, ambient) = model.thermal_state();
             let mut thermal = Value::object();
             thermal
-                .set(
-                    "temps",
-                    Value::Arr(temps.iter().map(|t| Value::num(*t)).collect()),
-                )
-                .set(
-                    "powers",
-                    Value::Arr(powers.iter().map(|p| Value::num(*p)).collect()),
-                )
-                .set("ambient", Value::num(ambient));
+                .set("temps", temps.as_slice())
+                .set("powers", powers.as_slice())
+                .set("ambient", ambient);
             v.set("thermal", thermal);
         }
         if let Some(sensors) = &self.sensors {
-            v.set(
-                "sensor_rngs",
-                Value::Arr(
-                    sensors
-                        .rng_states()
-                        .iter()
-                        .map(|s| Value::UInt(*s))
-                        .collect(),
-                ),
-            );
+            v.set("sensor_rngs", sensors.rng_states().as_slice());
         }
         v
     }
@@ -320,8 +316,8 @@ impl Session {
     /// tagged [`SNAPSHOT_STATUS`] so the store always appends it.
     pub fn snapshot_line(&self) -> String {
         let mut line = Value::object();
-        line.set("key", Value::Str(self.die.clone()))
-            .set("status", Value::Str(SNAPSHOT_STATUS.into()))
+        line.set("key", self.die.as_str())
+            .set("status", SNAPSHOT_STATUS)
             .set("session", self.snapshot_value());
         line.to_json()
     }
@@ -334,34 +330,12 @@ impl Session {
     ///
     /// Fails on missing or malformed fields.
     pub fn restore(v: &Value) -> Result<Session, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| format!("session snapshot missing {name:?}"))
-        };
-        let die = field("die")?
-            .as_str()
-            .ok_or("session snapshot: \"die\" not a string")?
-            .to_string();
-        let mode = SessionMode::parse(
-            field("mode")?
-                .as_str()
-                .ok_or("session snapshot: \"mode\" not a string")?,
-        )?;
-        let seed = field("seed")?
-            .as_u64()
-            .ok_or("session snapshot: \"seed\" not a u64")?;
-        let seq = field("seq")?
-            .as_u64()
-            .ok_or("session snapshot: \"seq\" not a u64")?;
-        let epoch_samples = field("epoch_samples")?
-            .as_u64()
-            .ok_or("session snapshot: \"epoch_samples\" not a u64")?
-            as usize;
-        let sampling_interval = field("sampling_interval")?
-            .as_f64()
-            .ok_or("session snapshot: \"sampling_interval\" not a number")?;
+        let mode = SessionMode::parse(v.field("mode")?)?;
+        let seed: u64 = v.field("seed")?;
+        let epoch_samples: usize = v.field("epoch_samples")?;
+        let sampling_interval: f64 = v.field("sampling_interval")?;
         // Pre-zoo snapshots carry no "policy" tag: they are paper agents.
-        let policy_id = match v.get("policy").and_then(Value::as_str) {
+        let policy_id = match v.opt_field("policy")? {
             Some(name) => PolicyId::parse(name)?,
             None => PolicyId::DasDac14,
         };
@@ -370,56 +344,41 @@ impl Session {
             sampling_interval,
             ..ControlConfig::default()
         };
-        let agent_value = field("agent")?;
+        let agent: &Value = v.field("agent")?;
         let mut policy = policy_id.build(cfg, seed);
-        policy
-            .restore(agent_value)
-            .map_err(|e| format!("session snapshot: {e}"))?;
+        policy.restore(agent)?;
         // Every policy snapshot records its core count; pre-zoo agent
         // snapshots expose it as "num_cores" inside the agent object.
-        let cores = match v.get("cores").and_then(Value::as_u64) {
-            Some(c) => c as usize,
-            None => agent_value
-                .get("num_cores")
-                .and_then(Value::as_u64)
-                .ok_or("session snapshot missing \"cores\"")? as usize,
+        let cores: usize = match v.opt_field("cores")? {
+            Some(c) => c,
+            None => agent.field("num_cores")?,
         };
         let (model, sensors) = match mode {
             SessionMode::Power => {
-                let thermal = field("thermal")?;
-                let temps = f64_list(thermal, "temps")?;
-                let powers = f64_list(thermal, "powers")?;
-                let ambient = thermal
-                    .get("ambient")
-                    .and_then(Value::as_f64)
-                    .ok_or("session snapshot: thermal missing \"ambient\"")?;
+                let thermal: &Value = v.field("thermal")?;
+                let temps: Vec<f64> = thermal.field("temps")?;
                 let mut model = DieModel::new(Floorplan::grid(cores, 1), DieParams::default());
                 let nodes = model.network().temperatures().len();
                 if temps.len() != nodes {
-                    return Err(format!(
-                        "session snapshot: {} thermal nodes, model has {nodes}",
-                        temps.len()
-                    ));
+                    return Err(format!("{} thermal nodes, model has {nodes}", temps.len()));
                 }
-                model.restore_thermal_state(&temps, &powers, ambient);
-                let states = field("sensor_rngs")?
-                    .as_array()
-                    .ok_or("session snapshot: \"sensor_rngs\" not an array")?
-                    .iter()
-                    .map(|s| s.as_u64().ok_or("session snapshot: sensor rng not a u64"))
-                    .collect::<Result<Vec<u64>, _>>()?;
+                model.restore_thermal_state(
+                    &temps,
+                    &thermal.field::<Vec<f64>>("powers")?,
+                    thermal.field("ambient")?,
+                );
                 let mut sensors = SensorBank::new(
                     cores,
                     SensorParams::default(),
                     seed.wrapping_add(0x5EED_5EED),
                 );
-                sensors.restore_rng_states(&states);
+                sensors.restore_rng_states(&v.field::<Vec<u64>>("sensor_rngs")?);
                 (Some(model), Some(sensors))
             }
             SessionMode::Temps => (None, None),
         };
         Ok(Session {
-            die,
+            die: v.field("die")?,
             mode,
             seed,
             cores,
@@ -429,21 +388,9 @@ impl Session {
             policy,
             model,
             sensors,
-            seq,
+            seq: v.field("seq")?,
         })
     }
-}
-
-fn f64_list(v: &Value, name: &str) -> Result<Vec<f64>, String> {
-    v.get(name)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("session snapshot missing array {name:?}"))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .ok_or_else(|| format!("session snapshot: non-numeric entry in {name:?}"))
-        })
-        .collect()
 }
 
 #[cfg(test)]

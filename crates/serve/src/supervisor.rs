@@ -32,14 +32,15 @@ use std::time::Duration;
 
 use thermorl_control::ControlConfig;
 use thermorl_dispatch::proto::{read_message, write_message};
+use thermorl_dispatch::store::LineMeta;
 use thermorl_dispatch::CheckpointStore;
+use thermorl_json::Value;
 use thermorl_policy::PolicyId;
 use thermorl_runner::{job_seed, shard_of};
-use thermorl_sim::json::Value;
 use thermorl_telemetry as tel;
 
 use crate::proto::{Message, StatsReport, SERVE_PROTOCOL_VERSION};
-use crate::session::{Session, SessionMode, SNAPSHOT_STATUS};
+use crate::session::{Session, SessionMode, MAX_CORES, SNAPSHOT_STATUS};
 
 /// Supervisor configuration.
 #[derive(Debug, Clone)]
@@ -212,8 +213,8 @@ impl Supervisor {
             HashMap::new()
         };
         let mut store = CheckpointStore::open(&config.store, false)?;
-        for line in restored.values() {
-            store.ingest(&line.to_json())?;
+        for (die, line) in &restored {
+            store.ingest_with(snapshot_meta(die), &line.to_json())?;
         }
         if !config.quiet {
             eprintln!(
@@ -303,10 +304,7 @@ fn load_snapshots(path: &std::path::Path) -> io::Result<HashMap<String, Value>> 
         let Ok(v) = Value::parse(&line) else {
             continue; // torn tail of a crashed run
         };
-        let (Some(key), Some(status)) = (
-            v.get("key").and_then(Value::as_str),
-            v.get("status").and_then(Value::as_str),
-        ) else {
+        let (Ok(key), Ok(status)) = (v.field::<&str>("key"), v.field::<&str>("status")) else {
             continue;
         };
         if status == SNAPSHOT_STATUS {
@@ -494,6 +492,14 @@ fn handle_shard_message(
                     ),
                 };
             }
+            if !(1..=MAX_CORES).contains(&cores) || threads == 0 {
+                return Message::Error {
+                    message: format!(
+                        "attach needs 1..={MAX_CORES} cores and at least one thread, \
+                         got {cores} cores and {threads} threads"
+                    ),
+                };
+            }
             let mode = match SessionMode::parse(&mode) {
                 Ok(m) => m,
                 Err(e) => return Message::Error { message: e },
@@ -526,9 +532,10 @@ fn handle_shard_message(
             // the restored session is accepted.
             let (session, resumed) = if let Some(snap) = pending.get(&die) {
                 let restored = snap
-                    .get("session")
-                    .ok_or_else(|| format!("snapshot for die {die:?} missing session"))
-                    .and_then(Session::restore);
+                    .field("session")
+                    .map_err(String::from)
+                    .and_then(Session::restore)
+                    .map_err(|e| format!("snapshot for die {die:?}: {e}"));
                 match restored {
                     Ok(s) => {
                         if s.cores() != cores || s.mode() != mode || s.policy_id() != policy_id {
@@ -629,10 +636,19 @@ fn handle_shard_message(
     }
 }
 
+/// How the store files a session's snapshot line: keyed by die, and never
+/// `"ok"` (the status is [`SNAPSHOT_STATUS`]), so every one is appended.
+fn snapshot_meta(die: &str) -> LineMeta {
+    LineMeta {
+        key: die.to_string(),
+        ok: false,
+    }
+}
+
 fn write_snapshot(session: &Session, store: &Arc<Mutex<CheckpointStore>>, stats: &Arc<Stats>) {
     let line = session.snapshot_line();
     let mut store = store.lock().expect("store lock poisoned");
-    if let Err(e) = store.ingest(&line) {
+    if let Err(e) = store.ingest_with(snapshot_meta(session.die()), &line) {
         eprintln!(
             "[serve] warning: snapshot of {:?} failed: {e}",
             session.die()

@@ -473,3 +473,74 @@ fn protocol_errors_answer_cleanly() {
     handle.join().expect("join");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Attach shapes the platform cannot build (0 or more than 64 cores, no
+/// threads) and observes carrying non-finite values, in power and temps
+/// mode, are answered with an error. None of them takes down the shard:
+/// a die attached earlier on the same (only) shard keeps getting acks
+/// and decisions.
+#[test]
+fn bad_shapes_and_non_finite_values_get_errors_not_a_dead_shard() {
+    let dir = temp_dir("bad-input");
+    let handle = Supervisor::spawn(ServeConfig {
+        shards: 1,
+        ..config(&dir.join("store.jsonl"))
+    })
+    .expect("spawn");
+    let mut client = Client::connect(&handle);
+    let attach = |die: &str, cores, threads, mode: &str| Message::Attach {
+        protocol: SERVE_PROTOCOL_VERSION,
+        die: die.into(),
+        cores,
+        threads,
+        mode: mode.into(),
+        policy: None,
+    };
+    let observe = |die: &str, seq, values: Vec<f64>| Message::Observe {
+        die: die.into(),
+        seq,
+        values,
+        trace: None,
+    };
+    let is_error =
+        |m: &Message| matches!(m, Message::Error { message } if !message.contains("shutting down"));
+
+    assert_eq!(client.attach(&die_name(0)), (false, 0));
+    assert!(client.observe(0, 1).is_none());
+
+    for (cores, threads) in [(0, 1), (65, 4), (CORES, 0)] {
+        let reply = client.roundtrip(&attach("bad", cores, threads, "power"));
+        assert!(
+            is_error(&reply),
+            "{cores} cores, {threads} threads: {reply:?}"
+        );
+    }
+
+    // A rejected observe leaves the session where it was: the same seq
+    // with finite values is applied next.
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut values = power_values(0, 2, CORES);
+        values[1] = bad;
+        let reply = client.roundtrip(&observe(&die_name(0), 2, values));
+        assert!(is_error(&reply), "power {bad}: {reply:?}");
+    }
+    let temps = attach("temps-die", CORES, CORES, "temps");
+    assert!(matches!(client.roundtrip(&temps), Message::Attached { .. }));
+    for seq in 1..=3 {
+        let reply = client.roundtrip(&observe("temps-die", seq, vec![f64::NAN; CORES]));
+        assert!(is_error(&reply), "temps seq {seq}: {reply:?}");
+    }
+
+    // The shard is alive: the first die runs on through several epochs.
+    let decisions = (2..=9).filter_map(|seq| client.observe(0, seq)).count();
+    assert!(decisions >= 2, "{decisions} decisions after the bad input");
+    let reply = client.roundtrip(&observe("temps-die", 1, vec![50.0; CORES]));
+    assert!(matches!(reply, Message::Ack { .. }), "{reply:?}");
+
+    assert_eq!(
+        client.roundtrip(&Message::Shutdown { hard: true }),
+        Message::ShuttingDown
+    );
+    handle.join().expect("join");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -7,9 +7,9 @@
 
 use proptest::prelude::*;
 use thermorl_control::ControlConfig;
+use thermorl_json::Value;
 use thermorl_policy::PolicyId;
 use thermorl_serve::{Session, SessionMode, StepOutcome};
-use thermorl_sim::json::Value;
 
 const CORES: usize = 4;
 

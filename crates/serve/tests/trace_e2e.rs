@@ -3,8 +3,8 @@
 //! shard worker → thermal step, with correct parent/child nesting, and
 //! that the exported Chrome trace is well-formed.
 
+use thermorl_json::Value;
 use thermorl_serve::run_trace_selftest;
-use thermorl_sim::json::Value;
 
 #[test]
 fn one_trace_spans_client_to_batch_step() {

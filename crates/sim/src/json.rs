@@ -1,16 +1,10 @@
-//! Minimal dependency-free JSON for run-outcome checkpoints.
+//! The [`RunOutcome`] checkpoint codec, over the workspace JSON codec.
 //!
 //! The campaign runner (`thermorl-runner`) checkpoints completed
 //! [`RunOutcome`]s as JSON lines so interrupted campaigns can resume
-//! without re-running finished jobs. The workspace builds offline (no
-//! `serde_json`), so this module provides the tiny JSON [`Value`] model,
-//! writer and parser that the checkpoint format needs, plus the
-//! [`RunOutcome`] codec itself.
-//!
-//! Numbers are split into [`Value::UInt`] (exact `u64`, required for the
-//! splitmix64-derived job seeds which exceed 2^53) and [`Value::Num`]
-//! (`f64`). Non-finite floats round-trip as the strings `"inf"`,
-//! `"-inf"` and `"nan"`.
+//! without re-running finished jobs. [`Value`] and [`JsonError`] live in
+//! `thermorl-json` and are re-exported here, so code that names them
+//! through `thermorl_sim::json` keeps building.
 //!
 //! # Example
 //!
@@ -23,527 +17,64 @@
 //! assert_eq!(v.to_json(), "{\"a\":[1,2.5,\"x\"]}");
 //! ```
 
-use std::fmt;
+pub use thermorl_json::{JsonError, Value};
 
 use thermorl_platform::CounterSnapshot;
 use thermorl_reliability::ThermalProfile;
-use thermorl_thermal::{DieParams, HeteroMix, Stepper};
 
 use crate::metrics::{AppResult, RunOutcome};
 
-/// A JSON value with deterministic (insertion-ordered) objects.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An exact unsigned integer (job seeds need all 64 bits).
-    UInt(u64),
-    /// A double-precision number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object; insertion order is preserved so output is deterministic.
-    Obj(Vec<(String, Value)>),
-}
-
-/// Error produced by [`Value::parse`] or the typed decoders.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonError(pub String);
-
-impl JsonError {
-    /// Builds an error from a message.
-    pub fn new(msg: impl Into<String>) -> JsonError {
-        JsonError(msg.into())
-    }
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json error: {}", self.0)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
-    Err(JsonError(msg.into()))
-}
-
-impl Value {
-    /// An empty object.
-    pub fn object() -> Value {
-        Value::Obj(Vec::new())
-    }
-
-    /// Appends a field to an object value (panics on non-objects).
-    pub fn set(&mut self, key: &str, value: Value) -> &mut Self {
-        match self {
-            Value::Obj(fields) => fields.push((key.to_string(), value)),
-            _ => panic!("Value::set on non-object"),
-        }
-        self
-    }
-
-    /// Looks up an object field.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an exact `u64`, if representable.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::UInt(u) => Some(*u),
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as an `f64` (integers widen; `"inf"`/`"nan"` strings map
-    /// to their float meanings).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            Value::UInt(u) => Some(*u as f64),
-            Value::Str(s) => match s.as_str() {
-                "inf" => Some(f64::INFINITY),
-                "-inf" => Some(f64::NEG_INFINITY),
-                "nan" => Some(f64::NAN),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// A float value; encodes non-finite floats as strings.
-    pub fn num(v: f64) -> Value {
-        if v.is_finite() {
-            Value::Num(v)
-        } else if v.is_nan() {
-            Value::Str("nan".into())
-        } else if v > 0.0 {
-            Value::Str("inf".into())
-        } else {
-            Value::Str("-inf".into())
-        }
-    }
-
-    /// Renders compact JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::UInt(u) => out.push_str(&u.to_string()),
-            Value::Num(n) => {
-                if n.is_finite() {
-                    // `{:?}` is Rust's shortest round-trip float form and is
-                    // valid JSON for finite values.
-                    out.push_str(&format!("{n:?}"));
-                } else {
-                    // Non-finite floats should have been routed through
-                    // Value::num; degrade to null rather than emit bad JSON.
-                    out.push_str("null");
-                }
-            }
-            Value::Str(s) => write_escaped(s, out),
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Value::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parses one JSON document (trailing whitespace allowed). Arrays and
-    /// objects nested more than 128 deep are an error, so no input can
-    /// exhaust the parsing thread's stack.
-    pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Deepest array/object nesting [`Value::parse`] accepts. The parser
-/// recurses once per level, and every document this workspace writes
-/// nests fewer than ten levels deep.
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    text: &'a str,
-    /// `text` as bytes; `pos` indexes both and always sits on a char
-    /// boundary between tokens.
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects currently open.
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b" \t\r\n".contains(b) {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(open @ (b'[' | b'{')) => {
-                if self.depth == MAX_DEPTH {
-                    return err(format!(
-                        "nesting deeper than {MAX_DEPTH} at byte {}",
-                        self.pos
-                    ));
-                }
-                self.depth += 1;
-                let v = if open == b'[' {
-                    self.array()
-                } else {
-                    self.object()
-                };
-                self.depth -= 1;
-                v
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => err(format!("unexpected {:?} at byte {}", other, self.pos)),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                other => return err(format!("expected ',' or ']' , found {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                other => return err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the unescaped run up to the next quote or backslash in
-            // one piece. Both are ASCII, so the run ends on a char boundary.
-            let run = self.bytes[self.pos..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .ok_or_else(|| JsonError("unterminated string".into()))?;
-            out.push_str(&self.text[self.pos..self.pos + run]);
-            self.pos += run;
-            if self.bytes[self.pos] == b'"' {
-                self.pos += 1;
-                return Ok(out);
-            }
-            self.pos += 1; // the backslash
-            match self.peek() {
-                Some(b'"') => out.push('"'),
-                Some(b'\\') => out.push('\\'),
-                Some(b'/') => out.push('/'),
-                Some(b'n') => out.push('\n'),
-                Some(b'r') => out.push('\r'),
-                Some(b't') => out.push('\t'),
-                Some(b'b') => out.push('\u{8}'),
-                Some(b'f') => out.push('\u{c}'),
-                Some(b'u') => {
-                    let c = self
-                        .text
-                        .get(self.pos + 1..self.pos + 5)
-                        .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
-                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                        .and_then(char::from_u32)
-                        .ok_or_else(|| JsonError(format!("bad \\u escape at byte {}", self.pos)))?;
-                    out.push(c);
-                    self.pos += 4;
-                }
-                other => return err(format!("bad escape {other:?}")),
-            }
-            self.pos += 1;
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = &self.text[start..self.pos];
-        if !is_float && !text.starts_with('-') {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|e| JsonError(format!("bad number {text:?}: {e}")))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Typed codecs.
-// ---------------------------------------------------------------------
-
-fn get_f64(v: &Value, key: &str) -> Result<f64, JsonError> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| JsonError(format!("missing/invalid float field {key:?}")))
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<u64, JsonError> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| JsonError(format!("missing/invalid integer field {key:?}")))
-}
-
-fn get_str(v: &Value, key: &str) -> Result<String, JsonError> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| JsonError(format!("missing/invalid string field {key:?}")))
-}
-
 fn profile_to_json(p: &ThermalProfile) -> Value {
     let mut v = Value::object();
-    v.set("dt", Value::num(p.dt()));
-    v.set(
-        "samples",
-        Value::Arr(p.samples().iter().map(|&s| Value::num(s)).collect()),
-    );
+    v.set("dt", p.dt()).set("samples", p.samples());
     v
 }
 
 fn profile_from_json(v: &Value) -> Result<ThermalProfile, JsonError> {
-    let dt = get_f64(v, "dt")?;
-    let samples = v
-        .get("samples")
-        .and_then(Value::as_array)
-        .ok_or_else(|| JsonError("missing profile samples".into()))?
-        .iter()
-        .map(|s| s.as_f64().ok_or_else(|| JsonError("bad sample".into())))
-        .collect::<Result<Vec<f64>, _>>()?;
+    let dt: f64 = v.field("dt")?;
     if dt <= 0.0 {
-        return err("profile dt must be positive");
+        return Err(JsonError::new("profile dt must be positive"));
     }
-    Ok(ThermalProfile::from_samples(dt, samples))
+    Ok(ThermalProfile::from_samples(dt, v.field("samples")?))
 }
 
 fn app_result_to_json(a: &AppResult) -> Value {
     let mut v = Value::object();
-    v.set("name", Value::Str(a.name.clone()));
-    v.set("dataset", Value::Str(a.dataset.clone()));
-    v.set("start_time", Value::num(a.start_time));
-    v.set(
-        "finish_time",
-        match a.finish_time {
-            Some(t) => Value::num(t),
-            None => Value::Null,
-        },
-    );
-    v.set("frames_completed", Value::UInt(a.frames_completed as u64));
-    v.set("total_frames", Value::UInt(a.total_frames as u64));
+    v.set("name", a.name.as_str())
+        .set("dataset", a.dataset.as_str())
+        .set("start_time", a.start_time)
+        .set("finish_time", a.finish_time.map_or(Value::Null, Value::num))
+        .set("frames_completed", a.frames_completed)
+        .set("total_frames", a.total_frames);
     v
 }
 
 fn app_result_from_json(v: &Value) -> Result<AppResult, JsonError> {
     Ok(AppResult {
-        name: get_str(v, "name")?,
-        dataset: get_str(v, "dataset")?,
-        start_time: get_f64(v, "start_time")?,
-        finish_time: match v.get("finish_time") {
-            Some(Value::Null) | None => None,
-            Some(t) => Some(
-                t.as_f64()
-                    .ok_or_else(|| JsonError("bad finish_time".into()))?,
-            ),
-        },
-        frames_completed: get_u64(v, "frames_completed")? as usize,
-        total_frames: get_u64(v, "total_frames")? as usize,
+        name: v.field("name")?,
+        dataset: v.field("dataset")?,
+        start_time: v.field("start_time")?,
+        finish_time: v.opt_field("finish_time")?,
+        frames_completed: v.field("frames_completed")?,
+        total_frames: v.field("total_frames")?,
     })
 }
 
 fn counters_to_json(c: &CounterSnapshot) -> Value {
     let mut v = Value::object();
-    v.set("instructions", Value::num(c.instructions));
-    v.set("cache_misses", Value::num(c.cache_misses));
-    v.set("page_faults", Value::num(c.page_faults));
-    v.set("migrations", Value::UInt(c.migrations));
+    v.set("instructions", c.instructions)
+        .set("cache_misses", c.cache_misses)
+        .set("page_faults", c.page_faults)
+        .set("migrations", c.migrations);
     v
 }
 
 fn counters_from_json(v: &Value) -> Result<CounterSnapshot, JsonError> {
     Ok(CounterSnapshot {
-        instructions: get_f64(v, "instructions")?,
-        cache_misses: get_f64(v, "cache_misses")?,
-        page_faults: get_f64(v, "page_faults")?,
-        migrations: get_u64(v, "migrations")?,
+        instructions: v.field("instructions")?,
+        cache_misses: v.field("cache_misses")?,
+        page_faults: v.field("page_faults")?,
+        migrations: v.field("migrations")?,
     })
 }
 
@@ -552,155 +83,66 @@ impl RunOutcome {
     /// checkpoints; see `thermorl-runner`).
     pub fn to_json(&self) -> Value {
         let mut v = Value::object();
-        v.set("scenario_name", Value::Str(self.scenario_name.clone()));
-        v.set("controller_name", Value::Str(self.controller_name.clone()));
-        v.set(
-            "sensor_profiles",
-            Value::Arr(self.sensor_profiles.iter().map(profile_to_json).collect()),
-        );
-        v.set(
-            "app_results",
-            Value::Arr(self.app_results.iter().map(app_result_to_json).collect()),
-        );
-        v.set("total_time", Value::num(self.total_time));
-        v.set("completed", Value::Bool(self.completed));
-        v.set("dynamic_energy_j", Value::num(self.dynamic_energy_j));
-        v.set("static_energy_j", Value::num(self.static_energy_j));
-        v.set("avg_dynamic_power_w", Value::num(self.avg_dynamic_power_w));
-        v.set("avg_static_power_w", Value::num(self.avg_static_power_w));
-        v.set("counters", counters_to_json(&self.counters));
-        v.set("migrations", Value::UInt(self.migrations));
-        v.set("samples", Value::UInt(self.samples));
-        v.set("decisions", Value::UInt(self.decisions));
+        v.set("scenario_name", self.scenario_name.as_str())
+            .set("controller_name", self.controller_name.as_str())
+            .set(
+                "sensor_profiles",
+                Value::Arr(self.sensor_profiles.iter().map(profile_to_json).collect()),
+            )
+            .set(
+                "app_results",
+                Value::Arr(self.app_results.iter().map(app_result_to_json).collect()),
+            )
+            .set("total_time", self.total_time)
+            .set("completed", self.completed)
+            .set("dynamic_energy_j", self.dynamic_energy_j)
+            .set("static_energy_j", self.static_energy_j)
+            .set("avg_dynamic_power_w", self.avg_dynamic_power_w)
+            .set("avg_static_power_w", self.avg_static_power_w)
+            .set("counters", counters_to_json(&self.counters))
+            .set("migrations", self.migrations)
+            .set("samples", self.samples)
+            .set("decisions", self.decisions);
         v
     }
 
     /// Decodes an outcome previously produced by [`RunOutcome::to_json`].
     pub fn from_json(v: &Value) -> Result<RunOutcome, JsonError> {
-        let profiles = v
-            .get("sensor_profiles")
-            .and_then(Value::as_array)
-            .ok_or_else(|| JsonError("missing sensor_profiles".into()))?
-            .iter()
-            .map(profile_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let apps = v
-            .get("app_results")
-            .and_then(Value::as_array)
-            .ok_or_else(|| JsonError("missing app_results".into()))?
-            .iter()
-            .map(app_result_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(RunOutcome {
-            scenario_name: get_str(v, "scenario_name")?,
-            controller_name: get_str(v, "controller_name")?,
-            sensor_profiles: profiles,
-            app_results: apps,
-            total_time: get_f64(v, "total_time")?,
-            completed: v
-                .get("completed")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| JsonError("missing completed".into()))?,
-            dynamic_energy_j: get_f64(v, "dynamic_energy_j")?,
-            static_energy_j: get_f64(v, "static_energy_j")?,
-            avg_dynamic_power_w: get_f64(v, "avg_dynamic_power_w")?,
-            avg_static_power_w: get_f64(v, "avg_static_power_w")?,
-            counters: counters_from_json(
-                v.get("counters")
-                    .ok_or_else(|| JsonError("missing counters".into()))?,
-            )?,
-            migrations: get_u64(v, "migrations")?,
-            samples: get_u64(v, "samples")?,
-            decisions: get_u64(v, "decisions")?,
+            scenario_name: v.field("scenario_name")?,
+            controller_name: v.field("controller_name")?,
+            sensor_profiles: v
+                .field::<&[Value]>("sensor_profiles")?
+                .iter()
+                .map(profile_from_json)
+                .collect::<Result<_, _>>()?,
+            app_results: v
+                .field::<&[Value]>("app_results")?
+                .iter()
+                .map(app_result_from_json)
+                .collect::<Result<_, _>>()?,
+            total_time: v.field("total_time")?,
+            completed: v.field("completed")?,
+            dynamic_energy_j: v.field("dynamic_energy_j")?,
+            static_energy_j: v.field("static_energy_j")?,
+            avg_dynamic_power_w: v.field("avg_dynamic_power_w")?,
+            avg_static_power_w: v.field("avg_static_power_w")?,
+            counters: counters_from_json(v.field("counters")?)?,
+            migrations: v.field("migrations")?,
+            samples: v.field("samples")?,
+            decisions: v.field("decisions")?,
         })
     }
 }
 
-fn hetero_to_json(h: &HeteroMix) -> Value {
-    let mut v = Value::object();
-    v.set("big_cores", Value::UInt(h.big_cores as u64));
-    v.set("big_capacitance_scale", Value::num(h.big_capacitance_scale));
-    v.set("big_conductance_scale", Value::num(h.big_conductance_scale));
-    v.set(
-        "little_capacitance_scale",
-        Value::num(h.little_capacitance_scale),
-    );
-    v.set(
-        "little_conductance_scale",
-        Value::num(h.little_conductance_scale),
-    );
-    v
-}
-
-fn hetero_from_json(v: &Value) -> Result<HeteroMix, JsonError> {
-    Ok(HeteroMix {
-        big_cores: get_u64(v, "big_cores")? as usize,
-        big_capacitance_scale: get_f64(v, "big_capacitance_scale")?,
-        big_conductance_scale: get_f64(v, "big_conductance_scale")?,
-        little_capacitance_scale: get_f64(v, "little_capacitance_scale")?,
-        little_conductance_scale: get_f64(v, "little_conductance_scale")?,
-    })
-}
-
-/// Encodes [`DieParams`] as a JSON [`Value`] — the thermal-package half of
-/// an experiment config. The stepper is stored under its
-/// [`std::fmt::Display`] name (`"exact"`, `"adaptive:REL:ABS"`, `"auto"`);
-/// a heterogeneous big.LITTLE mix, when present, is stored as a nested
-/// `hetero` object.
-pub fn die_params_to_json(p: &DieParams) -> Value {
-    let mut v = Value::object();
-    v.set("core_capacitance", Value::num(p.core_capacitance));
-    v.set("core_to_spreader", Value::num(p.core_to_spreader));
-    v.set("lateral_conductance", Value::num(p.lateral_conductance));
-    v.set("spreader_capacitance", Value::num(p.spreader_capacitance));
-    v.set("spreader_to_sink", Value::num(p.spreader_to_sink));
-    v.set("sink_capacitance", Value::num(p.sink_capacitance));
-    v.set("sink_to_ambient", Value::num(p.sink_to_ambient));
-    v.set("ambient", Value::num(p.ambient));
-    v.set("sim_dt", Value::num(p.sim_dt));
-    v.set("stepper", Value::Str(p.stepper.to_string()));
-    match &p.hetero {
-        Some(h) => v.set("hetero", hetero_to_json(h)),
-        None => v.set("hetero", Value::Null),
-    };
-    v
-}
-
-/// Decodes [`DieParams`] previously produced by [`die_params_to_json`].
-/// A missing `stepper` field falls back to the default ([`Stepper::Exact`])
-/// and a missing/`null` `hetero` field to a homogeneous die, so configs
-/// written before those features landed keep loading.
-pub fn die_params_from_json(v: &Value) -> Result<DieParams, JsonError> {
-    let stepper = match v.get("stepper") {
-        None | Some(Value::Null) => Stepper::default(),
-        Some(s) => s
-            .as_str()
-            .ok_or_else(|| JsonError("stepper must be a string".into()))?
-            .parse::<Stepper>()
-            .map_err(JsonError)?,
-    };
-    let hetero = match v.get("hetero") {
-        None | Some(Value::Null) => None,
-        Some(h) => Some(hetero_from_json(h)?),
-    };
-    Ok(DieParams {
-        core_capacitance: get_f64(v, "core_capacitance")?,
-        core_to_spreader: get_f64(v, "core_to_spreader")?,
-        lateral_conductance: get_f64(v, "lateral_conductance")?,
-        spreader_capacitance: get_f64(v, "spreader_capacitance")?,
-        spreader_to_sink: get_f64(v, "spreader_to_sink")?,
-        sink_capacitance: get_f64(v, "sink_capacitance")?,
-        sink_to_ambient: get_f64(v, "sink_to_ambient")?,
-        ambient: get_f64(v, "ambient")?,
-        sim_dt: get_f64(v, "sim_dt")?,
-        stepper,
-        hetero,
-    })
-}
-
 #[cfg(test)]
 mod tests {
+    //! The codec's round-trip, escaping, depth-cap and never-panic tests
+    //! run against `Value` as re-exported here, the path perfbench builds
+    //! against, next to the `RunOutcome` codec tests.
+
     use super::*;
+    use thermorl_json::MAX_DEPTH;
 
     #[test]
     fn scalar_round_trips() {
@@ -846,11 +288,7 @@ mod tests {
         ) {
             let mut text = [
                 outcome().to_json().to_json(),
-                die_params_to_json(&DieParams {
-                    hetero: Some(HeteroMix::big_little(1)),
-                    ..DieParams::default()
-                })
-                .to_json(),
+                checkpoint_line(),
                 "{\"a\":[1,-2.5e3,true,null,{\"b\":\"é\\u0041\\n\"}],\"c\":{}}".to_string(),
             ][doc]
                 .clone();
@@ -880,6 +318,16 @@ mod tests {
             let parsed = Value::parse(&Value::Str(s.clone()).to_json());
             proptest::prop_assert_eq!(parsed, Ok(Value::Str(s)));
         }
+    }
+
+    /// A campaign checkpoint line: a full-width seed next to an outcome.
+    fn checkpoint_line() -> String {
+        let mut v = Value::object();
+        v.set("key", "table2/tachyon-1/proposed/0")
+            .set("seed", u64::MAX)
+            .set("status", "ok")
+            .set("payload", outcome().to_json());
+        v.to_json()
     }
 
     fn outcome() -> RunOutcome {
@@ -942,69 +390,5 @@ mod tests {
             fields.retain(|(k, _)| k != "total_time");
         }
         assert!(RunOutcome::from_json(&v).is_err());
-    }
-
-    #[test]
-    fn die_params_round_trip_all_steppers() {
-        for stepper in [
-            Stepper::Exact,
-            Stepper::adaptive(),
-            Stepper::Adaptive {
-                rel_tol: 3.5e-7,
-                abs_tol: 1e-10,
-            },
-            Stepper::Auto,
-        ] {
-            let p = DieParams {
-                stepper,
-                sim_dt: 0.02,
-                ambient: 27.5,
-                ..DieParams::default()
-            };
-            let line = die_params_to_json(&p).to_json();
-            let back = die_params_from_json(&Value::parse(&line).expect("parse")).expect("decode");
-            assert_eq!(p, back);
-        }
-    }
-
-    #[test]
-    fn die_params_round_trip_hetero_mix() {
-        let p = DieParams {
-            hetero: Some(HeteroMix::big_little(2)),
-            stepper: Stepper::Auto,
-            ..DieParams::default()
-        };
-        let line = die_params_to_json(&p).to_json();
-        let back = die_params_from_json(&Value::parse(&line).expect("parse")).expect("decode");
-        assert_eq!(p, back);
-        // Missing hetero (legacy config) decodes as homogeneous.
-        let mut v = die_params_to_json(&DieParams::default());
-        if let Value::Obj(fields) = &mut v {
-            fields.retain(|(k, _)| k != "hetero");
-        }
-        assert_eq!(die_params_from_json(&v).expect("decode").hetero, None);
-    }
-
-    #[test]
-    fn die_params_missing_stepper_defaults_to_exact() {
-        let mut v = die_params_to_json(&DieParams::default());
-        if let Value::Obj(fields) = &mut v {
-            fields.retain(|(k, _)| k != "stepper");
-        }
-        let back = die_params_from_json(&v).expect("decode");
-        assert_eq!(back.stepper, Stepper::Exact);
-    }
-
-    #[test]
-    fn die_params_rejects_unknown_stepper() {
-        // Fixed-step integrator names are not steppers either.
-        for name in ["leapfrog", "rk4", "forward-euler"] {
-            let mut v = die_params_to_json(&DieParams::default());
-            if let Value::Obj(fields) = &mut v {
-                fields.retain(|(k, _)| k != "stepper");
-            }
-            v.set("stepper", Value::Str(name.into()));
-            assert!(die_params_from_json(&v).is_err(), "{name}");
-        }
     }
 }

@@ -10,34 +10,43 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use thermorl_json::Value;
+
 use crate::events::Event;
-use crate::export::json_escape;
+use crate::export::hex_id;
 use crate::registry::Snapshot;
 use crate::trace::SpanRecord;
 
-fn span_entry(s: &SpanRecord) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-         \"pid\":1,\"tid\":{},\"args\":{{\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\
-         \"parent\":\"{:016x}\"}}}}",
-        json_escape(s.name),
-        s.start_us,
-        s.dur_us.max(1),
-        s.thread,
-        s.trace_id,
-        s.span_id,
-        s.parent_id
-    )
+fn span_entry(s: &SpanRecord) -> Value {
+    let mut args = Value::object();
+    args.set("trace", hex_id(s.trace_id))
+        .set("span", hex_id(s.span_id))
+        .set("parent", hex_id(s.parent_id));
+    let mut v = Value::object();
+    v.set("name", s.name)
+        .set("cat", "span")
+        .set("ph", "X")
+        .set("ts", s.start_us)
+        .set("dur", s.dur_us.max(1))
+        .set("pid", 1u64)
+        .set("tid", s.thread)
+        .set("args", args);
+    v
 }
 
-fn event_entry(e: &Event) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":0,\
-         \"s\":\"p\",\"args\":{{\"detail\":\"{}\"}}}}",
-        json_escape(e.name),
-        e.ts_us,
-        json_escape(&e.detail)
-    )
+fn event_entry(e: &Event) -> Value {
+    let mut args = Value::object();
+    args.set("detail", e.detail.as_str());
+    let mut v = Value::object();
+    v.set("name", e.name)
+        .set("cat", "event")
+        .set("ph", "i")
+        .set("ts", e.ts_us)
+        .set("pid", 1u64)
+        .set("tid", 0u64)
+        .set("s", "p")
+        .set("args", args);
+    v
 }
 
 /// Renders spans and events as one Chrome trace-event JSON document
@@ -46,19 +55,17 @@ fn event_entry(e: &Event) -> String {
 pub fn chrome_trace_json(spans: &[SpanRecord], events: &[Event]) -> String {
     // Interleave by the shared sequence counter so the document reads in
     // causal order even before the viewer sorts by ts.
-    let mut entries: Vec<(u64, String)> = Vec::with_capacity(spans.len() + events.len());
-    for s in spans {
-        entries.push((s.seq, span_entry(s)));
-    }
-    for e in events {
-        entries.push((e.seq, event_entry(e)));
-    }
+    let mut entries: Vec<(u64, Value)> = Vec::with_capacity(spans.len() + events.len());
+    entries.extend(spans.iter().map(|s| (s.seq, span_entry(s))));
+    entries.extend(events.iter().map(|e| (e.seq, event_entry(e))));
     entries.sort_by_key(|(seq, _)| *seq);
-    let body: Vec<String> = entries.into_iter().map(|(_, line)| line).collect();
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
-        body.join(",")
+    let mut doc = Value::object();
+    doc.set(
+        "traceEvents",
+        Value::Arr(entries.into_iter().map(|(_, entry)| entry).collect()),
     )
+    .set("displayTimeUnit", "ms");
+    doc.to_json()
 }
 
 impl Snapshot {

@@ -1,131 +1,148 @@
 //! Snapshot exporters: JSON, Prometheus text, and the human span table.
 //!
-//! The JSON writer is deliberately dependency-free (this crate sits below
-//! `thermorl-sim`, whose `json` module therefore cannot be used here) and
-//! emits deterministic output: `BTreeMap` ordering for maps, global
-//! sequence order for events, and only non-empty buckets for histograms.
+//! The JSON exports are built as `thermorl-json` [`Value`]s, so strings
+//! escape and floats format as in every other document the workspace
+//! writes (shortest round-trip form; NaN and infinities as `"nan"`,
+//! `"inf"`, `"-inf"`). Output is deterministic: `BTreeMap` ordering for
+//! maps, global sequence order for events, and only non-empty buckets
+//! for histograms.
 
+use std::collections::BTreeMap;
+use std::io;
+use std::path::Path;
+
+use thermorl_json::Value;
+
+use crate::events::Event;
 use crate::histogram::Histogram;
 use crate::registry::{Snapshot, SpanStats};
 use crate::trace::SpanRecord;
 
-/// Escapes a string for embedding in a JSON document.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A trace or span id as 16 hex digits: u64 values exceed the 2^53
+/// integers JSON consumers can hold losslessly.
+pub(crate) fn hex_id(id: u64) -> Value {
+    Value::Str(format!("{id:016x}"))
 }
 
-/// Formats an `f64` as a JSON value (non-finite values become strings,
-/// matching `thermorl_sim::json::Value::num`).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        format!("\"{v}\"")
-    }
-}
-
-fn histogram_json(h: &Histogram) -> String {
-    let buckets: Vec<String> = h
-        .buckets()
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| **n > 0)
-        .map(|(i, n)| format!("{{\"le\":{},\"count\":{}}}", Histogram::bucket_upper(i), n))
-        .collect();
-    format!(
-        "{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-        h.count(),
-        h.sum(),
-        buckets.join(",")
+/// The non-empty buckets of `h`, each `{<le>: upper bound, "count": n}`.
+fn buckets_value(h: &Histogram, le: &str) -> Value {
+    Value::Arr(
+        h.buckets()
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| **n > 0)
+            .map(|(i, &n)| {
+                let mut bucket = Value::object();
+                bucket.set(le, Histogram::bucket_upper(i)).set("count", n);
+                bucket
+            })
+            .collect(),
     )
 }
 
-fn span_json(s: &SpanStats) -> String {
-    let buckets: Vec<String> = s
-        .hist
-        .buckets()
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| **n > 0)
-        .map(|(i, n)| {
-            format!(
-                "{{\"le_ns\":{},\"count\":{}}}",
-                Histogram::bucket_upper(i),
-                n
-            )
-        })
-        .collect();
-    format!(
-        "{{\"count\":{},\"total_ns\":{},\"mean_ns\":{},\"buckets\":[{}]}}",
-        s.count,
-        s.total_ns,
-        json_num(s.mean_ns()),
-        buckets.join(",")
-    )
+fn histogram_value(h: &Histogram) -> Value {
+    let mut v = Value::object();
+    v.set("count", h.count())
+        .set("sum", h.sum())
+        .set("buckets", buckets_value(h, "le"));
+    v
+}
+
+fn span_value(s: &SpanStats) -> Value {
+    let mut v = Value::object();
+    v.set("count", s.count)
+        .set("total_ns", s.total_ns)
+        .set("mean_ns", s.mean_ns())
+        .set("buckets", buckets_value(&s.hist, "le_ns"));
+    v
+}
+
+fn map_value<T>(map: &BTreeMap<String, T>, value: impl Fn(&T) -> Value) -> Value {
+    Value::Obj(map.iter().map(|(k, v)| (k.clone(), value(v))).collect())
+}
+
+fn event_value(e: &Event) -> Value {
+    let mut v = Value::object();
+    v.set("seq", e.seq)
+        .set("ts_us", e.ts_us)
+        .set("name", e.name)
+        .set("detail", e.detail.as_str());
+    v
+}
+
+fn span_record_value(s: &SpanRecord) -> Value {
+    let mut v = Value::object();
+    v.set("seq", s.seq)
+        .set("trace", hex_id(s.trace_id))
+        .set("span", hex_id(s.span_id))
+        .set("parent", hex_id(s.parent_id))
+        .set("name", s.name)
+        .set("start_us", s.start_us)
+        .set("dur_us", s.dur_us)
+        .set("thread", s.thread);
+    v
+}
+
+/// One event as a standalone JSONL line (the lines of the `--telemetry`
+/// events side file).
+pub fn event_jsonl(e: &Event) -> String {
+    event_value(e).to_json()
 }
 
 impl Snapshot {
     /// Encodes the snapshot as a single JSON object.
     pub fn to_json(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), v))
-            .collect();
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_num(*v)))
-            .collect();
-        let histograms: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| format!("\"{}\":{}", json_escape(k), histogram_json(h)))
-            .collect();
-        let spans: Vec<String> = self
-            .spans
-            .iter()
-            .map(|(k, s)| format!("\"{}\":{}", json_escape(k), span_json(s)))
-            .collect();
-        let events: Vec<String> = self.events.iter().map(event_json).collect();
-        let traces: Vec<String> = self.trace_spans.iter().map(span_record_json).collect();
-        let shards: Vec<String> = self
-            .shard_occupancy
-            .iter()
-            .map(|o| {
-                format!(
-                    "{{\"events\":{},\"events_capacity\":{},\
-                     \"trace_spans\":{},\"trace_capacity\":{}}}",
-                    o.events, o.events_capacity, o.trace_spans, o.trace_capacity
-                )
-            })
-            .collect();
-        format!(
-            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}},\
-             \"spans\":{{{}}},\"events\":[{}],\"events_dropped\":{},\
-             \"trace_spans\":[{}],\"trace_spans_dropped\":{},\"shards\":[{}]}}",
-            counters.join(","),
-            gauges.join(","),
-            histograms.join(","),
-            spans.join(","),
-            events.join(","),
-            self.events_dropped,
-            traces.join(","),
-            self.trace_spans_dropped,
-            shards.join(",")
-        )
+        let shards = self.shard_occupancy.iter().map(|o| {
+            let mut v = Value::object();
+            v.set("events", o.events)
+                .set("events_capacity", o.events_capacity)
+                .set("trace_spans", o.trace_spans)
+                .set("trace_capacity", o.trace_capacity);
+            v
+        });
+        let mut v = Value::object();
+        v.set("counters", map_value(&self.counters, |&c| c.into()))
+            .set("gauges", map_value(&self.gauges, |&g| g.into()))
+            .set("histograms", map_value(&self.histograms, histogram_value))
+            .set("spans", map_value(&self.spans, span_value))
+            .set(
+                "events",
+                Value::Arr(self.events.iter().map(event_value).collect()),
+            )
+            .set("events_dropped", self.events_dropped)
+            .set(
+                "trace_spans",
+                Value::Arr(self.trace_spans.iter().map(span_record_value).collect()),
+            )
+            .set("trace_spans_dropped", self.trace_spans_dropped)
+            .set("shards", Value::Arr(shards.collect()));
+        v.to_json()
+    }
+
+    /// Writes the `--telemetry` files: the snapshot to `path` and its
+    /// events, one [`event_jsonl`] line each, to the sibling
+    /// `*.events.jsonl`, creating the parent directory if needed.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a directory or file cannot be written; the message
+    /// names the path.
+    pub fn write_files(&self, path: &Path) -> io::Result<()> {
+        let write = |path: &Path, text: String| {
+            std::fs::write(path, text)
+                .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+        };
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            std::fs::create_dir_all(parent)
+                .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", parent.display())))?;
+        }
+        write(path, self.to_json() + "\n")?;
+        let mut lines = String::new();
+        for event in &self.events {
+            event_value(event).write(&mut lines);
+            lines.push('\n');
+        }
+        write(&path.with_extension("events.jsonl"), lines)
     }
 
     /// Encodes the snapshot in Prometheus text exposition format.
@@ -229,39 +246,6 @@ impl Snapshot {
     }
 }
 
-fn event_json(e: &crate::events::Event) -> String {
-    format!(
-        "{{\"seq\":{},\"ts_us\":{},\"name\":\"{}\",\"detail\":\"{}\"}}",
-        e.seq,
-        e.ts_us,
-        json_escape(e.name),
-        json_escape(&e.detail)
-    )
-}
-
-// Trace/span ids export as 16-hex strings: u64 values exceed the 2^53
-// integers JSON consumers can hold losslessly.
-fn span_record_json(s: &SpanRecord) -> String {
-    format!(
-        "{{\"seq\":{},\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\",\
-         \"name\":\"{}\",\"start_us\":{},\"dur_us\":{},\"thread\":{}}}",
-        s.seq,
-        s.trace_id,
-        s.span_id,
-        s.parent_id,
-        json_escape(s.name),
-        s.start_us,
-        s.dur_us,
-        s.thread
-    )
-}
-
-/// One event as a standalone JSONL line (used for the `--telemetry`
-/// events side-file).
-pub fn event_jsonl(e: &crate::events::Event) -> String {
-    event_json(e)
-}
-
 fn prom_name(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
@@ -292,7 +276,6 @@ fn prom_histogram(out: &mut String, name: &str, hist: &Histogram) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::Event;
 
     fn sample_snapshot() -> Snapshot {
         let mut snap = Snapshot::default();
@@ -383,7 +366,49 @@ mod tests {
 
     #[test]
     fn escaping_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let event = |detail: &str| Event {
+            seq: 0,
+            ts_us: 0,
+            name: "n",
+            detail: detail.into(),
+        };
+        assert!(event_jsonl(&event("a\"b\\c\nd")).contains("\"detail\":\"a\\\"b\\\\c\\nd\""));
+        assert!(event_jsonl(&event("\u{1}")).contains("\"detail\":\"\\u0001\""));
+    }
+
+    /// Every export parses back with the workspace codec: a NaN gauge
+    /// reads as NaN, and an event detail full of quotes and control
+    /// characters survives the snapshot, its JSONL line and the Chrome
+    /// trace unchanged.
+    #[test]
+    fn exports_parse_back_through_the_codec() {
+        let detail = "said \"no\"\\\n\t\r\u{1}\u{1f} é \u{1F600}";
+        let mut snap = sample_snapshot();
+        snap.gauges.insert("agent.nan".into(), f64::NAN);
+        snap.gauges.insert("agent.inf".into(), f64::INFINITY);
+        snap.events[0].detail = detail.into();
+
+        let doc = Value::parse(&snap.to_json()).expect("snapshot parses");
+        let gauges = doc.get("gauges").expect("gauges");
+        assert!(gauges.field::<f64>("agent.nan").expect("nan").is_nan());
+        assert_eq!(gauges.field::<f64>("agent.inf"), Ok(f64::INFINITY));
+        assert_eq!(gauges.field::<f64>("agent.alpha"), Ok(0.45));
+        let events = doc.field::<&[Value]>("events").expect("events");
+        assert_eq!(events[0].field::<&str>("detail"), Ok(detail));
+
+        let line = Value::parse(&event_jsonl(&snap.events[0])).expect("event line parses");
+        assert_eq!(line.field::<&str>("detail"), Ok(detail));
+        assert_eq!(line.field::<u64>("ts_us"), Ok(42));
+
+        let chrome = Value::parse(&snap.to_chrome_trace()).expect("chrome trace parses");
+        let entries = chrome
+            .field::<&[Value]>("traceEvents")
+            .expect("traceEvents");
+        let instant = entries
+            .iter()
+            .find(|e| e.field::<&str>("ph") == Ok("i"))
+            .expect("instant entry");
+        let args = instant.field::<&Value>("args").expect("args");
+        assert_eq!(args.field::<&str>("detail"), Ok(detail));
     }
 }

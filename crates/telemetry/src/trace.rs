@@ -290,6 +290,9 @@ pub struct TraceSpan {
 }
 
 impl TraceSpan {
+    /// With telemetry off this inlines to one relaxed load and the
+    /// struct literal; the recording body stays out of line.
+    #[inline]
     fn begin(name: &'static str, parent: Parent, attach: bool) -> TraceSpan {
         if !registry::enabled() {
             return TraceSpan {
@@ -301,6 +304,11 @@ impl TraceSpan {
                 on_stack: false,
             };
         }
+        TraceSpan::begin_recording(name, parent, attach)
+    }
+
+    #[inline(never)]
+    fn begin_recording(name: &'static str, parent: Parent, attach: bool) -> TraceSpan {
         let start = Some(Instant::now());
         let (ctx, parent_id, start_us, on_stack) = if registry::trace_enabled() {
             let (trace_id, parent_id, span_id) = match parent {
@@ -373,26 +381,9 @@ impl TraceSpan {
         span
     }
 
-    /// The span's wire context, when tracing was live at creation.
-    pub fn context(&self) -> Option<SpanContext> {
-        self.ctx
-    }
-
-    /// Abandons the span without recording anything.
-    pub fn cancel(mut self) {
-        if self.on_stack {
-            if let Some(ctx) = self.ctx {
-                pop_stack(ctx.span_id);
-            }
-            self.on_stack = false;
-        }
-        self.start = None;
-        self.ctx = None;
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
+    /// Pops the span off the thread's stack and records it.
+    #[inline(never)]
+    fn finish(&mut self) {
         if self.on_stack {
             if let Some(ctx) = self.ctx {
                 pop_stack(ctx.span_id);
@@ -414,6 +405,34 @@ impl Drop for TraceSpan {
                 dur_us: ns / 1000,
                 thread: ids::thread_id(),
             });
+        }
+    }
+
+    /// The span's wire context, when tracing was live at creation.
+    pub fn context(&self) -> Option<SpanContext> {
+        self.ctx
+    }
+
+    /// Abandons the span without recording anything.
+    pub fn cancel(mut self) {
+        if self.on_stack {
+            if let Some(ctx) = self.ctx {
+                pop_stack(ctx.span_id);
+            }
+            self.on_stack = false;
+        }
+        self.start = None;
+        self.ctx = None;
+    }
+}
+
+impl Drop for TraceSpan {
+    /// A span begun with telemetry off holds neither a start time nor a
+    /// stack entry, so its drop is this inlined check alone.
+    #[inline]
+    fn drop(&mut self) {
+        if self.start.is_some() || self.on_stack {
+            self.finish();
         }
     }
 }

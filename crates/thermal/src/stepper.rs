@@ -34,8 +34,8 @@ pub enum Stepper {
 }
 
 // Tolerances are validated finite (never NaN) at every construction site:
-// `Stepper::adaptive()` uses constants, `FromStr` and `DieParams::validate`
-// reject non-finite values. With NaN excluded, `PartialEq` is total.
+// `Stepper::adaptive()` uses constants and `DieParams::validate` rejects
+// non-finite values. With NaN excluded, `PartialEq` is total.
 impl Eq for Stepper {}
 
 impl std::hash::Hash for Stepper {
@@ -75,49 +75,6 @@ impl std::fmt::Display for Stepper {
     }
 }
 
-/// Parses one tolerance field of an `adaptive:REL:ABS` spec.
-fn parse_tol(spec: &str, field: &str, raw: &str) -> Result<f64, String> {
-    let v: f64 = raw
-        .parse()
-        .map_err(|_| format!("bad {field} tolerance {raw:?} in stepper {spec:?}"))?;
-    if !v.is_finite() || v <= 0.0 {
-        return Err(format!(
-            "{field} tolerance in stepper {spec:?} must be finite and positive"
-        ));
-    }
-    Ok(v)
-}
-
-impl std::str::FromStr for Stepper {
-    type Err = String;
-
-    /// Parses the [`std::fmt::Display`] names (bare `"adaptive"` uses the
-    /// default tolerances), as used by JSON configs.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exact" => Ok(Stepper::Exact),
-            "adaptive" => Ok(Stepper::adaptive()),
-            "auto" => Ok(Stepper::Auto),
-            other => {
-                if let Some(rest) = other.strip_prefix("adaptive:") {
-                    let mut parts = rest.splitn(2, ':');
-                    let rel = parts.next().unwrap_or("");
-                    let abs = parts
-                        .next()
-                        .ok_or_else(|| format!("stepper {other:?} needs adaptive:REL:ABS"))?;
-                    return Ok(Stepper::Adaptive {
-                        rel_tol: parse_tol(other, "relative", rel)?,
-                        abs_tol: parse_tol(other, "absolute", abs)?,
-                    });
-                }
-                Err(format!(
-                    "unknown stepper {other:?} (expected exact, adaptive[:REL:ABS] or auto)"
-                ))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,42 +89,6 @@ mod tests {
         assert_eq!(Stepper::Exact.to_string(), "exact");
         assert_eq!(Stepper::adaptive().to_string(), "adaptive:1e-6:1e-9");
         assert_eq!(Stepper::Auto.to_string(), "auto");
-    }
-
-    #[test]
-    fn from_str_round_trips_display_names() {
-        for s in [
-            Stepper::Exact,
-            Stepper::adaptive(),
-            Stepper::Adaptive {
-                rel_tol: 3.5e-7,
-                abs_tol: 1e-10,
-            },
-            Stepper::Auto,
-        ] {
-            assert_eq!(s.to_string().parse::<Stepper>(), Ok(s));
-        }
-        assert_eq!("adaptive".parse::<Stepper>(), Ok(Stepper::adaptive()));
-        assert!("leapfrog".parse::<Stepper>().is_err());
-    }
-
-    #[test]
-    fn fixed_step_names_are_rejected() {
-        for name in ["rk4", "forward-euler", "euler"] {
-            let err = name.parse::<Stepper>().unwrap_err();
-            for remaining in ["exact", "adaptive", "auto"] {
-                assert!(err.contains(remaining), "{name}: {err}");
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_parse_rejects_bad_tolerances() {
-        assert!("adaptive:0:1e-9".parse::<Stepper>().is_err());
-        assert!("adaptive:-1e-6:1e-9".parse::<Stepper>().is_err());
-        assert!("adaptive:1e-6:nan".parse::<Stepper>().is_err());
-        assert!("adaptive:1e-6".parse::<Stepper>().is_err());
-        assert!("adaptive:inf:1e-9".parse::<Stepper>().is_err());
     }
 
     #[test]
