@@ -162,6 +162,13 @@ timeout 120 cargo run --release -q -p thermorl-bench --bin serve -- \
     bench --addr-file "$SERVE_DIR/addr2" --quick --out BENCH_serve.json > /dev/null
 grep -q '"slowest_trace":"' BENCH_serve.json \
     || { echo "BENCH_serve.json missing the slowest-request trace id"; exit 1; }
+python3 - BENCH_serve.json <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+cores = doc.get("host_cores")
+assert isinstance(cores, int) and cores >= 1, f"BENCH_serve.json host_cores: {cores!r}"
+print(f"BENCH_serve.json OK: host_cores={cores}")
+EOF
 
 echo "== serve trace verb (live SLO + slowest-trace table) =="
 # The restarted supervisor runs with --trace, so its trace report must

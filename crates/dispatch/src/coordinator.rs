@@ -33,7 +33,7 @@ use thermorl_runner::JobSource;
 use thermorl_telemetry as tel;
 
 use crate::proto::{read_message, write_message, Lease, Message, StatusReport, PROTOCOL_VERSION};
-use crate::store::{CheckpointStore, Ingest};
+use crate::store::{CheckpointStore, Ingest, LineMeta};
 
 /// How a coordinator serves one campaign.
 #[derive(Debug, Clone)]
@@ -248,7 +248,8 @@ impl State {
     }
 
     /// Re-queues `key` (charging one retry) or, with the budget
-    /// exhausted, files `failure_line` and marks the key failed.
+    /// exhausted, files `failure_line` (a non-`ok` record of `key`) and
+    /// marks the key failed.
     fn requeue_or_fail(&mut self, key: String, failure_line: String) -> io::Result<()> {
         let job = self.jobs.get_mut(&key).expect("key is registered");
         if job.retries < self.max_retries {
@@ -262,7 +263,8 @@ impl State {
             self.failed += 1;
             tel::counter!("dispatch.failures");
             tel::event!("dispatch.failed", "{key} retries exhausted");
-            self.store.ingest(&failure_line)?;
+            self.store
+                .ingest_with(LineMeta { key, ok: false }, &failure_line)?;
         }
         Ok(())
     }
@@ -346,7 +348,7 @@ impl State {
         }
         let was_queued = self.jobs[&meta.key].state == KeyState::Queued;
         if meta.ok {
-            match self.store.ingest(line)? {
+            match self.store.ingest_with(meta.clone(), line)? {
                 Ingest::Duplicate => {
                     tel::counter!("dispatch.duplicates");
                 }

@@ -270,7 +270,9 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::UInt(u) => Some(*u),
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, the first float past
+            // the range, so the bound is strict.
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -669,6 +671,25 @@ mod tests {
         // Non-objects have no fields.
         assert!(Value::UInt(1).field::<u64>("n").is_err());
         assert_eq!(Value::Null.opt_field::<u64>("n"), Ok(None));
+    }
+
+    #[test]
+    fn as_u64_reads_only_exact_in_range_integers() {
+        for (text, want) in [
+            ("18446744073709551615", Some(u64::MAX)),
+            ("18446744073709551616", None),
+            ("1.8446744073709552e19", None),
+            ("18446744073709549568.0", Some(u64::MAX - 2047)),
+            ("-0.0", Some(0)),
+            ("-1", None),
+            ("1.5", None),
+            ("1e400", None),
+        ] {
+            let v = Value::parse(text).expect(text);
+            assert_eq!(v.as_u64(), want, "{text} parsed as {v:?}");
+            let doc = Value::parse(&format!("{{\"seed\":{text}}}")).expect(text);
+            assert_eq!(doc.field::<u64>("seed").ok(), want, "seed {text}");
+        }
     }
 
     #[test]

@@ -183,10 +183,24 @@ impl<T> CheckpointWriter<T> {
     }
 }
 
+/// The lines of `reader` without their line ends; `None` for a line that
+/// is not UTF-8 (a write torn inside a multi-byte character), which the
+/// caller skips like any other corrupt line. `BufRead::lines` would end
+/// the whole read with an error instead.
+fn utf8_lines(reader: impl BufRead) -> impl Iterator<Item = std::io::Result<Option<String>>> {
+    reader.split(b'\n').map(|line| {
+        let mut bytes = line?;
+        if bytes.last() == Some(&b'\r') {
+            bytes.pop();
+        }
+        Ok(String::from_utf8(bytes).ok())
+    })
+}
+
 /// Loads a checkpoint: resumed records in first-seen key order, last
 /// occurrence of each key winning. Returns an empty list if the file does
-/// not exist. Corrupt lines (e.g. a torn final write) are skipped with a
-/// warning on stderr.
+/// not exist. Corrupt lines (e.g. a torn final write, even one cut inside
+/// a multi-byte character) are skipped with a warning on stderr.
 pub fn load<T>(path: &Path, codec: &Codec<T>) -> std::io::Result<Vec<JobRecord<T>>> {
     if !path.exists() {
         return Ok(Vec::new());
@@ -195,12 +209,13 @@ pub fn load<T>(path: &Path, codec: &Codec<T>) -> std::io::Result<Vec<JobRecord<T
     let mut order: Vec<String> = Vec::new();
     let mut by_key: std::collections::HashMap<String, JobRecord<T>> =
         std::collections::HashMap::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(&line, codec) {
+    for (lineno, line) in utf8_lines(reader).enumerate() {
+        let parsed = match line? {
+            Some(line) if line.trim().is_empty() => continue,
+            Some(line) => parse_line(&line, codec),
+            None => Err(JsonError::new("line is not UTF-8")),
+        };
+        match parsed {
             Ok(record) => {
                 if !by_key.contains_key(&record.key) {
                     order.push(record.key.clone());
@@ -241,16 +256,17 @@ pub fn merge(inputs: &[PathBuf], out: &Path) -> std::io::Result<usize> {
     let mut by_key: std::collections::HashMap<String, String> = std::collections::HashMap::new();
     for path in inputs {
         let reader = BufReader::new(File::open(path)?);
-        for (lineno, line) in reader.lines().enumerate() {
+        for (lineno, line) in utf8_lines(reader).enumerate() {
             let line = line?;
-            if line.trim().is_empty() {
+            if line.as_deref().is_some_and(|l| l.trim().is_empty()) {
                 continue;
             }
-            let key = Value::parse(&line)
-                .ok()
-                .and_then(|v| v.field::<String>("key").ok());
-            match key {
-                Some(key) => {
+            let keyed = line.and_then(|line| {
+                let key = Value::parse(&line).ok()?.field::<String>("key").ok()?;
+                Some((key, line))
+            });
+            match keyed {
+                Some((key, line)) => {
                     if !by_key.contains_key(&key) {
                         order.push(key.clone());
                     }

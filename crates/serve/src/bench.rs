@@ -94,6 +94,10 @@ pub struct BenchReport {
     pub slowest_trace: u64,
     /// Observe round-trip latencies in microseconds.
     pub latency_us: Histogram,
+    /// CPUs the load generator's host offers
+    /// (`std::thread::available_parallelism`): client and server threads
+    /// share them, so the numbers depend on it.
+    pub host_cores: usize,
 }
 
 impl BenchReport {
@@ -141,7 +145,8 @@ impl BenchReport {
                 "slowest_trace",
                 Value::Str(format!("{:016x}", self.slowest_trace)),
             )
-            .set("latency_us", latency);
+            .set("latency_us", latency)
+            .set("host_cores", Value::UInt(self.host_cores as u64));
         v
     }
 }
@@ -229,6 +234,7 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
         slowest_us: slowest.0,
         slowest_trace: slowest.1,
         latency_us,
+        host_cores: thread::available_parallelism().map_or(1, |n| n.get()),
     };
     if let Some(out) = &cfg.out {
         std::fs::write(out, report.to_value().to_json() + "\n")

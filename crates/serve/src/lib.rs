@@ -6,8 +6,10 @@
 //! lightweight [`Session`] per managed die (Q-learning agent + sensor
 //! history + RC thermal state), fronted by a newline-delimited-JSON TCP
 //! API ([`proto`]) that reuses the dispatch crate's wire framing.
-//! Sessions are sharded across worker threads by die-id hash, so one
-//! die's samples serialize while distinct dies proceed in parallel.
+//! Sessions are spread over mutex-guarded stripes by die-id hash; the
+//! connection thread that reads a request handles it under its die's
+//! stripe lock, so one die's samples serialize while dies on other
+//! stripes proceed in parallel.
 //!
 //! The service is **crash-safe by snapshot**: sessions serialize their
 //! full mutable state (Q-tables, agent RNG, detector windows, RC node
@@ -33,9 +35,10 @@
 //!
 //! `serve run --trace` turns on distributed tracing: every observe
 //! carrying a `traceparent` joins the client's trace, and the request's
-//! spans — connection thread, shard worker, thermal step — nest under
-//! it. `--chrome PATH` exports the recorded spans as Chrome
-//! trace-event JSON on shutdown (open it at <https://ui.perfetto.dev>),
+//! spans — `serve.request`, `shard.observe` on the die's stripe, and
+//! `thermal.step` — nest under it. `--chrome PATH` exports the
+//! recorded spans as Chrome trace-event JSON on shutdown (open it at
+//! <https://ui.perfetto.dev>),
 //! `--flight PATH` arms the flight recorder (panic / SIGUSR1 dump of the
 //! last spans and events), and `--slo-objective-us` sets the latency
 //! objective that `stats` and `trace` replies report error-budget burn
@@ -110,9 +113,10 @@ fn parse_f64(flag: &str, value: Option<String>) -> Result<f64, String> {
 /// * `run` — start the supervisor: `--addr HOST:PORT` (port 0 =
 ///   ephemeral), `--addr-file PATH` (write the bound address),
 ///   `--store PATH` (snapshot store), `--fresh` (ignore existing
-///   snapshots), `--shards N`, `--seed N`, `--snapshot-every EPOCHS`,
-///   `--epoch-samples N`, `--telemetry [PATH]`, `--trace` (distributed
-///   tracing), `--chrome PATH` (Chrome trace export on shutdown),
+///   snapshots), `--shards N` (session lock stripes), `--seed N`,
+///   `--snapshot-every EPOCHS`, `--epoch-samples N`,
+///   `--telemetry [PATH]`, `--trace` (distributed tracing),
+///   `--chrome PATH` (Chrome trace export on shutdown),
 ///   `--flight PATH` (panic/SIGUSR1 flight recorder),
 ///   `--slo-objective-us N` (latency objective for the SLO tracker),
 ///   `--quiet`. Runs until a client sends `shutdown`.
@@ -127,8 +131,8 @@ fn parse_f64(flag: &str, value: Option<String>) -> Result<f64, String> {
 ///   traces, recent traces) as one JSON line; `--max N` caps the rows.
 /// * `selftest-trace` — run the in-process end-to-end trace selftest and
 ///   export the Chrome trace (`--out PATH`, default `serve-trace.json`);
-///   exits nonzero unless a complete client → serve → shard →
-///   thermal-step trace was recorded.
+///   exits nonzero unless a complete `client.observe` → `serve.request`
+///   → `shard.observe` → `thermal.step` trace was recorded.
 /// * `shutdown` — stop the supervisor; `--hard` skips the final
 ///   snapshot pass (crash simulation).
 ///

@@ -5,11 +5,11 @@
 //! one telemetry registry — checks that at least one request produced a
 //! complete distributed trace: a `client.observe` root, a
 //! `serve.request` on the connection thread parented to it, a
-//! `shard.observe` on the shard worker parented to that, and a
-//! `thermal.step` parented to the `shard.observe` (the die advance the
-//! observe made). The verified trace is exported
-//! as Chrome trace-event JSON so CI can validate the schema and anyone
-//! can load it into Perfetto.
+//! `shard.observe` parented to that (the same thread's work under the
+//! die's stripe lock), and a `thermal.step` parented to the
+//! `shard.observe` (the die advance the observe made). The verified
+//! trace is exported as Chrome trace-event JSON so CI can validate the
+//! schema and anyone can load it into Perfetto.
 
 use std::collections::HashMap;
 use std::path::Path;

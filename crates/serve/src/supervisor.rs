@@ -1,17 +1,17 @@
-//! The serving supervisor: a TCP front door over sharded session workers.
+//! The serving supervisor: a TCP front door over lock-striped sessions.
 //!
 //! One supervisor owns every [`Session`] in the process. Sessions are
-//! sharded across worker threads by die-id hash
-//! ([`thermorl_runner::shard_of`]), so all samples for one die serialize
-//! through one thread (no locks around agent state) while distinct dies
-//! proceed in parallel. Connection threads are thin: they parse one
-//! NDJSON request, route it to the owning shard over a channel, and
-//! write the shard's reply back — so any client can speak for any die,
-//! and several clients can share a die without corrupting its stream.
+//! spread over [`ServeConfig::shards`] mutex-guarded stripes by die-id
+//! hash ([`thermorl_runner::shard_of`]). Each connection thread parses
+//! one NDJSON request, locks the stripe that owns the die, handles the
+//! request there, and writes the reply, so all samples for one die
+//! serialize under one lock while dies on other stripes proceed in
+//! parallel. Any client can speak for any die, and several clients can
+//! share a die without corrupting its stream.
 //!
 //! # Crash safety
 //!
-//! Shards snapshot a session into the shared [`CheckpointStore`] every
+//! A session is snapshotted into the shared [`CheckpointStore`] every
 //! [`ServeConfig::snapshot_every`] decision epochs, on `detach`, and on
 //! orderly shutdown (a `shutdown` with `hard: true` skips the final
 //! pass, simulating a crash). Snapshot lines are tagged
@@ -25,8 +25,7 @@ use std::io::{self, BufRead, BufReader, BufWriter};
 use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -54,7 +53,9 @@ pub struct ServeConfig {
     pub store: PathBuf,
     /// Restore sessions from an existing store; `false` starts fresh.
     pub resume: bool,
-    /// Session worker threads.
+    /// Lock stripes: each die's session lives in stripe
+    /// `shard_of(die, shards)`, and requests for dies on different
+    /// stripes run in parallel.
     pub shards: usize,
     /// Server seed; each die's session seed is `job_seed(seed, die)`.
     pub seed: u64,
@@ -132,21 +133,23 @@ fn request_slo(cfg: &tel::SloConfig) -> tel::SloSummary {
         })
 }
 
-struct ShardRequest {
-    msg: Message,
-    /// The `serve.request` span's context — the shard's spans nest under
-    /// the connection thread's, keeping one trace across both threads.
-    ctx: Option<tel::SpanContext>,
-    reply: Sender<Message>,
+/// One lock stripe: the sessions of every die that hashes to it.
+#[derive(Default)]
+struct Shard {
+    sessions: HashMap<String, Session>,
+    /// Restored snapshots no attach has claimed yet.
+    pending: HashMap<String, Value>,
 }
 
 /// Everything a connection thread needs.
 struct Shared {
-    shards: Vec<Sender<ShardRequest>>,
-    stats: Arc<Stats>,
+    shards: Vec<Mutex<Shard>>,
+    store: Mutex<CheckpointStore>,
+    stats: Stats,
     stop: Arc<AtomicBool>,
     hard: Arc<AtomicBool>,
     slo: tel::SloConfig,
+    config: ServeConfig,
 }
 
 /// A running supervisor: inspect the bound address, stop it, join it.
@@ -223,45 +226,27 @@ impl Supervisor {
                 config.store.display()
             );
         }
-        let store = Arc::new(Mutex::new(store));
 
-        let stats = Arc::new(Stats::default());
+        // Park each restored snapshot in its die's stripe until an attach
+        // claims it.
+        let stripes = config.shards.max(1);
+        let mut shards: Vec<Shard> = (0..stripes).map(|_| Shard::default()).collect();
+        for (die, snap) in restored {
+            shards[shard_of(&die, stripes)].pending.insert(die, snap);
+        }
+
         let stop = Arc::new(AtomicBool::new(false));
         let hard = Arc::new(AtomicBool::new(false));
-
-        // Partition restored snapshots by shard and launch the workers.
-        let shards = config.shards.max(1);
-        let mut per_shard: Vec<HashMap<String, Value>> =
-            (0..shards).map(|_| HashMap::new()).collect();
-        for (die, snap) in restored {
-            per_shard[shard_of(&die, shards)].insert(die, snap);
-        }
-        let mut senders = Vec::with_capacity(shards);
-        let mut shard_handles = Vec::with_capacity(shards);
-        for pending in per_shard {
-            let (tx, rx) = mpsc::channel::<ShardRequest>();
-            senders.push(tx);
-            let store = Arc::clone(&store);
-            let stats = Arc::clone(&stats);
-            let hard = Arc::clone(&hard);
-            let cfg = config.clone();
-            shard_handles.push(thread::spawn(move || {
-                run_shard(rx, pending, store, stats, hard, cfg)
-            }));
-        }
-
         let shared = Arc::new(Shared {
-            shards: senders,
-            stats: Arc::clone(&stats),
+            shards: shards.into_iter().map(Mutex::new).collect(),
+            store: Mutex::new(store),
+            stats: Stats::default(),
             stop: Arc::clone(&stop),
             hard: Arc::clone(&hard),
             slo: slo_config(&config),
+            config,
         });
-        let accept_stop = Arc::clone(&stop);
-        let quiet = config.quiet;
-        let thread = thread::spawn(move || {
-            accept_loop(listener, addr, shared, shard_handles, accept_stop, quiet)
-        });
+        let thread = thread::spawn(move || accept_loop(listener, addr, &shared));
         Ok(SupervisorHandle {
             addr,
             stop,
@@ -317,18 +302,15 @@ fn load_snapshots(path: &std::path::Path) -> io::Result<HashMap<String, Value>> 
 fn accept_loop(
     listener: TcpListener,
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    shard_handles: Vec<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
-    quiet: bool,
+    shared: &Arc<Shared>,
 ) -> io::Result<ServeReport> {
     let mut conn_handles = Vec::new();
     let mut open_streams: Vec<TcpStream> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
+    while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 open_streams.push(stream.try_clone()?);
-                let shared = Arc::clone(&shared);
+                let shared = Arc::clone(shared);
                 conn_handles.push(thread::spawn(move || {
                     let _ = handle_connection(stream, &shared);
                 }));
@@ -346,19 +328,21 @@ fn accept_loop(
     for handle in conn_handles {
         let _ = handle.join();
     }
-    let stats = Arc::clone(&shared.stats);
-    let slo = shared.slo;
-    // Dropping the last shard senders disconnects the channels; shards
-    // run their final snapshot pass (unless `hard`) and exit.
-    drop(shared);
-    for handle in shard_handles {
-        let _ = handle.join();
+    // No request is in flight now. A soft stop snapshots every live
+    // session; a stripe poisoned by a panicking request is skipped, since
+    // its sessions may be half-stepped.
+    if !shared.hard.load(Ordering::SeqCst) {
+        for shard in shared.shards.iter().filter_map(|s| s.lock().ok()) {
+            for session in shard.sessions.values() {
+                write_snapshot(session, shared);
+            }
+        }
     }
     let report = ServeReport {
         addr,
-        stats: stats.report(&slo),
+        stats: shared.stats.report(&shared.slo),
     };
-    if !quiet {
+    if !shared.config.quiet {
         eprintln!(
             "[serve] stopped: {} session(s), {} decision(s), {} snapshot write(s)",
             report.stats.sessions_total, report.stats.decisions_total, report.stats.snapshot_writes
@@ -380,8 +364,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
             } => tel::SpanContext::parse_traceparent(trace),
             _ => None,
         };
-        let span = tel::TraceSpan::with_parent("serve.request", parent);
-        let ctx = span.context();
+        let _span = tel::TraceSpan::with_parent("serve.request", parent);
         let reply = match msg {
             Message::Stats => Message::Report(shared.stats.report(&shared.slo)),
             Message::Trace { max } => {
@@ -402,23 +385,21 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
             Message::Attach { ref die, .. }
             | Message::Observe { ref die, .. }
             | Message::Detach { ref die } => {
-                let shard = shard_of(die, shared.shards.len());
-                let (tx, rx) = mpsc::channel();
-                let routed = shared.shards[shard]
-                    .send(ShardRequest {
-                        msg: msg.clone(),
-                        ctx,
-                        reply: tx,
-                    })
-                    .is_ok();
-                if routed {
-                    rx.recv().unwrap_or(Message::Error {
-                        message: "supervisor is shutting down".into(),
-                    })
-                } else {
-                    Message::Error {
-                        message: "supervisor is shutting down".into(),
+                let stripe = &shared.shards[shard_of(die, shared.shards.len())];
+                match stripe.lock() {
+                    Ok(mut shard) => {
+                        let name = match msg {
+                            Message::Observe { .. } => "shard.observe",
+                            _ => "shard.handle",
+                        };
+                        let _span = tel::TraceSpan::child(name);
+                        handle_shard_message(msg, &mut shard, shared)
                     }
+                    Err(_) => Message::Error {
+                        message: format!(
+                            "die {die:?} is unavailable: an earlier request on its shard panicked"
+                        ),
+                    },
                 }
             }
             other => Message::Error {
@@ -434,48 +415,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     Ok(())
 }
 
-/// One session worker: owns every session whose die hashes to it.
-///
-/// Requests are handled one at a time, in channel order, each under a
-/// `shard.observe` (observes) or `shard.handle` (attach, detach) span
-/// parented to its connection thread's `serve.request`. A die's
-/// decisions depend on its own samples only, so no request shares work
-/// with another.
-fn run_shard(
-    rx: Receiver<ShardRequest>,
-    mut pending: HashMap<String, Value>,
-    store: Arc<Mutex<CheckpointStore>>,
-    stats: Arc<Stats>,
-    hard: Arc<AtomicBool>,
-    cfg: ServeConfig,
-) {
-    let mut sessions: HashMap<String, Session> = HashMap::new();
-    for req in rx {
-        let name = match req.msg {
-            Message::Observe { .. } => "shard.observe",
-            _ => "shard.handle",
-        };
-        let _span = tel::TraceSpan::with_parent(name, req.ctx);
-        let reply =
-            handle_shard_message(req.msg, &mut sessions, &mut pending, &store, &stats, &cfg);
-        // The client may have hung up; a dead reply channel is fine.
-        let _ = req.reply.send(reply);
-    }
-    if !hard.load(Ordering::SeqCst) {
-        for session in sessions.values() {
-            write_snapshot(session, &store, &stats);
-        }
-    }
-}
-
-fn handle_shard_message(
-    msg: Message,
-    sessions: &mut HashMap<String, Session>,
-    pending: &mut HashMap<String, Value>,
-    store: &Arc<Mutex<CheckpointStore>>,
-    stats: &Arc<Stats>,
-    cfg: &ServeConfig,
-) -> Message {
+/// Handles one die-routed request on the die's locked stripe. The
+/// caller holds the stripe lock, so requests for one die apply one at a
+/// time, and a die's decisions depend on its own samples only.
+fn handle_shard_message(msg: Message, shard: &mut Shard, shared: &Shared) -> Message {
+    let Shard { sessions, pending } = shard;
+    let (stats, cfg) = (&shared.stats, &shared.config);
     match msg {
         Message::Attach {
             protocol,
@@ -599,7 +544,7 @@ fn handle_shard_message(
                         stats.decisions_total.fetch_add(1, Ordering::Relaxed);
                         tel::counter!("serve.decisions_total");
                         if cfg.snapshot_every > 0 && session.epochs() % cfg.snapshot_every == 0 {
-                            write_snapshot(session, store, stats);
+                            write_snapshot(session, shared);
                         }
                     }
                     Message::Ack {
@@ -618,7 +563,7 @@ fn handle_shard_message(
                     message: format!("die {die:?} is not attached"),
                 };
             };
-            write_snapshot(&session, store, stats);
+            write_snapshot(&session, shared);
             let active = stats
                 .sessions_active
                 .fetch_sub(1, Ordering::Relaxed)
@@ -645,9 +590,9 @@ fn snapshot_meta(die: &str) -> LineMeta {
     }
 }
 
-fn write_snapshot(session: &Session, store: &Arc<Mutex<CheckpointStore>>, stats: &Arc<Stats>) {
+fn write_snapshot(session: &Session, shared: &Shared) {
     let line = session.snapshot_line();
-    let mut store = store.lock().expect("store lock poisoned");
+    let mut store = shared.store.lock().expect("store lock poisoned");
     if let Err(e) = store.ingest_with(snapshot_meta(session.die()), &line) {
         eprintln!(
             "[serve] warning: snapshot of {:?} failed: {e}",
@@ -655,6 +600,6 @@ fn write_snapshot(session: &Session, store: &Arc<Mutex<CheckpointStore>>, stats:
         );
         return;
     }
-    stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
+    shared.stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
     tel::counter!("serve.snapshot_writes");
 }

@@ -1,13 +1,18 @@
 //! Loopback tests of the serving supervisor: full TCP round trips, the
-//! kill-and-restart recovery contract, stats, telemetry, and the wire
-//! error paths.
+//! kill-and-restart recovery contract, the soft-shutdown snapshot pass,
+//! concurrent clients on one shard, stats, telemetry, and the wire error
+//! paths.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
 use std::net::TcpStream;
+use std::ops::{Range, RangeInclusive};
 use std::path::{Path, PathBuf};
+use std::sync::Barrier;
+use std::thread;
 
 use thermorl_dispatch::proto::{read_message, write_message};
+use thermorl_runner::shard_of;
 use thermorl_serve::bench::power_values;
 use thermorl_serve::{
     Decision, Message, ServeConfig, Supervisor, SupervisorHandle, SERVE_PROTOCOL_VERSION,
@@ -120,16 +125,16 @@ impl Client {
     }
 }
 
-/// Drives `seqs` for every die in lockstep, collecting each die's
-/// decision stream as `(seq, decision)` pairs.
+/// Drives `seqs` for every die in `dies` in lockstep, collecting each
+/// die's decision stream as `(seq, decision)` pairs.
 fn drive(
     client: &mut Client,
-    dies: usize,
-    seqs: std::ops::RangeInclusive<u64>,
+    dies: Range<usize>,
+    seqs: RangeInclusive<u64>,
 ) -> HashMap<usize, Vec<(u64, Decision)>> {
     let mut streams: HashMap<usize, Vec<(u64, Decision)>> = HashMap::new();
     for seq in seqs {
-        for d in 0..dies {
+        for d in dies.clone() {
             if let Some(decision) = client.observe(d, seq) {
                 streams.entry(d).or_default().push((seq, decision));
             }
@@ -156,7 +161,7 @@ fn kill_and_restart_reproduces_the_decision_stream() {
         for d in 0..DIES {
             assert_eq!(client.attach(&die_name(d)), (false, 0));
         }
-        let streams = drive(&mut client, DIES, 1..=TOTAL);
+        let streams = drive(&mut client, 0..DIES, 1..=TOTAL);
         assert_eq!(
             client.roundtrip(&Message::Shutdown { hard: false }),
             Message::ShuttingDown
@@ -177,7 +182,7 @@ fn kill_and_restart_reproduces_the_decision_stream() {
         for d in 0..DIES {
             assert_eq!(client.attach(&die_name(d)), (false, 0));
         }
-        let streams = drive(&mut client, DIES, 1..=CUT);
+        let streams = drive(&mut client, 0..DIES, 1..=CUT);
         // Hard shutdown: no final snapshot pass — states newer than the
         // last periodic snapshot are lost, exactly as in a crash.
         handle.shutdown(true);
@@ -201,7 +206,7 @@ fn kill_and_restart_reproduces_the_decision_stream() {
         assert_eq!(*acked.get_or_insert(acked_seq), acked_seq);
     }
     let acked = acked.expect("at least one die");
-    let after_restart = drive(&mut client, DIES, acked + 1..=TOTAL);
+    let after_restart = drive(&mut client, 0..DIES, acked + 1..=TOTAL);
     assert_eq!(
         client.roundtrip(&Message::Shutdown { hard: false }),
         Message::ShuttingDown
@@ -241,6 +246,183 @@ fn kill_and_restart_reproduces_the_decision_stream() {
         assert_eq!(replay_overlap, victim_tail, "die {d}: replay overlap");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Die `d`'s decision stream over `seqs`, driven alone on a fresh
+/// one-shard supervisor with the test seed.
+fn alone(store: &Path, d: usize, seqs: RangeInclusive<u64>) -> Vec<(u64, Decision)> {
+    let handle = Supervisor::spawn(ServeConfig {
+        shards: 1,
+        ..config(store)
+    })
+    .expect("spawn");
+    let mut client = Client::connect(&handle);
+    assert_eq!(client.attach(&die_name(d)), (false, 0));
+    let stream = drive(&mut client, d..d + 1, seqs)
+        .remove(&d)
+        .unwrap_or_default();
+    handle.shutdown(true);
+    handle.join().expect("join");
+    stream
+}
+
+/// Four clients released together on a one-shard supervisor, two dies
+/// each: every die's decision stream equals the same die driven alone,
+/// so requests for different dies that share a shard never touch each
+/// other's sessions.
+#[test]
+fn concurrent_clients_on_one_shard_match_each_die_driven_alone() {
+    const CONNS: usize = 4;
+    const PER_CONN: usize = 2;
+    const TOTAL: u64 = 30;
+    let dir = temp_dir("one-shard");
+    let handle = Supervisor::spawn(ServeConfig {
+        shards: 1,
+        ..config(&dir.join("shared.jsonl"))
+    })
+    .expect("spawn");
+    let gate = Barrier::new(CONNS);
+    let streams: HashMap<usize, Vec<(u64, Decision)>> = thread::scope(|scope| {
+        let clients: Vec<_> = (0..CONNS)
+            .map(|c| {
+                let (handle, gate) = (&handle, &gate);
+                scope.spawn(move || {
+                    let mut client = Client::connect(handle);
+                    let dies = c * PER_CONN..(c + 1) * PER_CONN;
+                    gate.wait();
+                    for d in dies.clone() {
+                        assert_eq!(client.attach(&die_name(d)), (false, 0));
+                    }
+                    drive(&mut client, dies, 1..=TOTAL)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    handle.shutdown(true);
+    handle.join().expect("join");
+
+    for d in 0..CONNS * PER_CONN {
+        let alone = alone(&dir.join(format!("alone-{d}.jsonl")), d, 1..=TOTAL);
+        assert_eq!(alone.len() as u64, TOTAL / 3, "one decision per epoch");
+        assert_eq!(streams[&d], alone, "die {d}: concurrent stream");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two clients released together send the same `(die, seq)` stream, one
+/// observe in flight each. Every seq is applied exactly once (the other
+/// copy is acked as a duplicate), and the decisions of the applied copies
+/// equal the die driven alone: several clients can share a die without
+/// corrupting its stream.
+#[test]
+fn two_clients_sharing_a_die_apply_each_seq_once() {
+    const TOTAL: u64 = 60;
+    let dir = temp_dir("shared-die");
+    let handle = Supervisor::spawn(config(&dir.join("shared.jsonl"))).expect("spawn");
+    assert_eq!(Client::connect(&handle).attach(&die_name(0)), (false, 0));
+    let gate = Barrier::new(2);
+    let acks: Vec<(u64, bool, Option<Decision>)> = thread::scope(|scope| {
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                let (handle, gate) = (&handle, &gate);
+                scope.spawn(move || {
+                    let mut client = Client::connect(handle);
+                    gate.wait();
+                    (1..=TOTAL)
+                        .map(|seq| {
+                            match client.roundtrip(&Message::Observe {
+                                die: die_name(0),
+                                seq,
+                                values: power_values(0, seq, CORES),
+                                trace: None,
+                            }) {
+                                Message::Ack {
+                                    seq: got,
+                                    duplicate,
+                                    decision,
+                                    ..
+                                } if got == seq => (seq, duplicate, decision),
+                                other => panic!("observe {seq} got {other:?}"),
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    handle.shutdown(true);
+    handle.join().expect("join");
+
+    let mut applied: Vec<(u64, Option<Decision>)> = acks
+        .into_iter()
+        .filter(|(_, duplicate, _)| !duplicate)
+        .map(|(seq, _, decision)| (seq, decision))
+        .collect();
+    applied.sort_by_key(|(seq, _)| *seq);
+    let seqs: Vec<u64> = applied.iter().map(|(seq, _)| *seq).collect();
+    assert_eq!(
+        seqs,
+        (1..=TOTAL).collect::<Vec<_>>(),
+        "each seq applied once"
+    );
+    let decisions: Vec<(u64, Decision)> = applied
+        .into_iter()
+        .filter_map(|(seq, decision)| Some((seq, decision?)))
+        .collect();
+    assert_eq!(decisions, alone(&dir.join("alone.jsonl"), 0, 1..=TOTAL));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A soft shutdown snapshots every live session, so a die that was never
+/// detached resumes at its last acked seq. A hard shutdown skips that
+/// pass: the die resumes from its last periodic snapshot, strictly below.
+#[test]
+fn soft_shutdown_snapshots_live_sessions_and_hard_does_not() {
+    const DIES: usize = 4;
+    // Epochs of 3 samples, a snapshot every epoch: 17 falls after the
+    // periodic snapshot at 15.
+    const LAST: u64 = 17;
+    let shards = config(Path::new("store.jsonl")).shards;
+    let used: HashSet<usize> = (0..DIES).map(|d| shard_of(&die_name(d), shards)).collect();
+    assert_eq!(used.len(), shards, "the dies cover every shard");
+    for hard in [false, true] {
+        let dir = temp_dir(if hard { "hard-stop" } else { "soft-stop" });
+        let store = dir.join("store.jsonl");
+        let handle = Supervisor::spawn(config(&store)).expect("spawn");
+        let mut client = Client::connect(&handle);
+        for d in 0..DIES {
+            assert_eq!(client.attach(&die_name(d)), (false, 0));
+        }
+        drive(&mut client, 0..DIES, 1..=LAST);
+        handle.shutdown(hard);
+        handle.join().expect("join");
+
+        let handle = Supervisor::spawn(config(&store)).expect("respawn");
+        let mut client = Client::connect(&handle);
+        for d in 0..DIES {
+            let (resumed, acked_seq) = client.attach(&die_name(d));
+            assert!(resumed, "die {d} resumes (hard: {hard})");
+            if hard {
+                assert!(
+                    acked_seq > 0 && acked_seq < LAST,
+                    "die {d} after a hard stop resumes at {acked_seq}"
+                );
+            } else {
+                assert_eq!(acked_seq, LAST, "die {d} after a soft stop");
+            }
+        }
+        handle.shutdown(true);
+        handle.join().expect("join");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Serve metrics reach both telemetry export formats (JSON keeps dotted

@@ -1,7 +1,8 @@
 //! End-to-end distributed tracing over loopback TCP: the acceptance
-//! check that one trace spans client → supervisor connection thread →
-//! shard worker → thermal step, with correct parent/child nesting, and
-//! that the exported Chrome trace is well-formed.
+//! check that one trace spans the client's `client.observe`, the
+//! connection thread's `serve.request`, its `shard.observe` under the
+//! die's stripe lock and the `thermal.step`, with correct parent/child
+//! nesting, and that the exported Chrome trace is well-formed.
 
 use thermorl_json::Value;
 use thermorl_serve::run_trace_selftest;
