@@ -4,6 +4,29 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "== non-test Rust lines (printed, not gated) =="
+# Every *.rs under crates/, src/, examples/ and vendor/, outside tests/
+# and benches/ directories, each file cut at its first #[cfg(test)].
+python3 - <<'PY'
+import os
+from collections import Counter
+counts = Counter()
+for top in ("crates", "src", "examples", "vendor"):
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = [d for d in dirnames if d not in ("tests", "benches")]
+        parts = dirpath.split(os.sep)
+        unit = parts[1] if top in ("crates", "vendor") and len(parts) > 1 else top
+        for name in filenames:
+            if name.endswith(".rs"):
+                with open(os.path.join(dirpath, name), encoding="utf-8") as f:
+                    for line in f:
+                        if "#[cfg(test)]" in line:
+                            break
+                        counts[unit] += 1
+print("  ".join(f"{unit} {n}" for unit, n in sorted(counts.items())))
+print(f"total {sum(counts.values())}")
+PY
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

@@ -14,10 +14,11 @@
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use thermorl_json::Value;
+use thermorl_runner::checkpoint::utf8_lines;
 
 /// How [`CheckpointStore::ingest`] filed a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,8 +62,9 @@ pub struct CheckpointStore {
 
 impl CheckpointStore {
     /// Opens the store at `path`. With `resume`, existing records are
-    /// kept and their completed keys pre-marked (corrupt lines skipped
-    /// with a warning); without it any existing file is truncated. A torn
+    /// kept and their completed keys pre-marked (corrupt lines, a tail
+    /// torn inside a multi-byte character included, skipped with a
+    /// warning); without it any existing file is truncated. A torn
     /// trailing line is terminated so the next append starts fresh.
     ///
     /// # Errors
@@ -78,12 +80,12 @@ impl CheckpointStore {
         let mut completed = HashSet::new();
         if resume && path.exists() {
             let reader = BufReader::new(File::open(path)?);
-            for (lineno, line) in reader.lines().enumerate() {
+            for (lineno, line) in utf8_lines(reader).enumerate() {
                 let line = line?;
-                if line.trim().is_empty() {
+                if line.as_deref().is_some_and(|l| l.trim().is_empty()) {
                     continue;
                 }
-                match line_meta(&line) {
+                match line.as_deref().and_then(line_meta) {
                     Some(meta) if meta.ok => {
                         completed.insert(meta.key);
                     }
@@ -265,6 +267,27 @@ mod tests {
             last.contains("\"key\":\"b\""),
             "append after torn tail starts on a fresh line: {last:?}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every strict prefix of a record whose key is not ASCII, as the torn
+    /// final line, is skipped: every intact key before it stays completed.
+    #[test]
+    fn resume_survives_a_non_ascii_record_torn_at_every_byte() {
+        let dir = temp_dir("torn-utf8");
+        let path = dir.join("store.jsonl");
+        let intact = format!("{}\n{}\n", ok_line("die-Ω", 1), ok_line("b", 2));
+        let tail = ok_line("die-µ°", 3);
+        for cut in 0..tail.len() {
+            let mut bytes = intact.clone().into_bytes();
+            bytes.extend_from_slice(&tail.as_bytes()[..cut]);
+            std::fs::write(&path, &bytes).expect("seed file");
+            let store =
+                CheckpointStore::open(&path, true).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            let mut keys: Vec<&str> = store.completed().iter().map(String::as_str).collect();
+            keys.sort_unstable();
+            assert_eq!(keys, ["b", "die-Ω"], "cut {cut}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -186,8 +186,9 @@ impl<T> CheckpointWriter<T> {
 /// The lines of `reader` without their line ends; `None` for a line that
 /// is not UTF-8 (a write torn inside a multi-byte character), which the
 /// caller skips like any other corrupt line. `BufRead::lines` would end
-/// the whole read with an error instead.
-fn utf8_lines(reader: impl BufRead) -> impl Iterator<Item = std::io::Result<Option<String>>> {
+/// the whole read with an error instead. Every JSONL store reads through
+/// it: campaign checkpoints, the dispatch store and serve's snapshots.
+pub fn utf8_lines(reader: impl BufRead) -> impl Iterator<Item = std::io::Result<Option<String>>> {
     reader.split(b'\n').map(|line| {
         let mut bytes = line?;
         if bytes.last() == Some(&b'\r') {

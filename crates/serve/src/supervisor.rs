@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,6 +35,7 @@ use thermorl_dispatch::store::LineMeta;
 use thermorl_dispatch::CheckpointStore;
 use thermorl_json::Value;
 use thermorl_policy::PolicyId;
+use thermorl_runner::checkpoint::utf8_lines;
 use thermorl_runner::{job_seed, shard_of};
 use thermorl_telemetry as tel;
 
@@ -281,13 +282,11 @@ fn load_snapshots(path: &std::path::Path) -> io::Result<HashMap<String, Value>> 
         return Ok(latest);
     }
     let reader = BufReader::new(File::open(path)?);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    for line in utf8_lines(reader) {
+        // A crashed run's torn tail, even one cut inside a multi-byte
+        // character, is skipped.
+        let Some(Ok(v)) = line?.as_deref().map(Value::parse) else {
             continue;
-        }
-        let Ok(v) = Value::parse(&line) else {
-            continue; // torn tail of a crashed run
         };
         let (Ok(key), Ok(status)) = (v.field::<&str>("key"), v.field::<&str>("status")) else {
             continue;
@@ -602,4 +601,38 @@ fn write_snapshot(session: &Session, shared: &Shared) {
     }
     shared.stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
     tel::counter!("serve.snapshot_writes");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every strict prefix of a real snapshot line whose die id is not
+    /// ASCII, as the torn final line of the store, is skipped: the intact
+    /// snapshots before it all load.
+    #[test]
+    fn load_snapshots_survives_a_non_ascii_snapshot_torn_at_every_byte() {
+        let dir = std::env::temp_dir().join(format!(
+            "thermorl-serve-torn-snapshot-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("store.jsonl");
+        let line = |die: &str| {
+            let cfg = ControlConfig::default();
+            Session::new(die, 4, 4, SessionMode::Power, PolicyId::DasDac14, 7, cfg).snapshot_line()
+        };
+        let intact = format!("{}\n{}\n", line("die-a"), line("die-Ω"));
+        let tail = line("die-µ°");
+        for cut in 0..tail.len() {
+            let mut bytes = intact.clone().into_bytes();
+            bytes.extend_from_slice(&tail.as_bytes()[..cut]);
+            std::fs::write(&path, &bytes).expect("write store");
+            let loaded = load_snapshots(&path).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            let mut dies: Vec<&str> = loaded.keys().map(String::as_str).collect();
+            dies.sort_unstable();
+            assert_eq!(dies, ["die-a", "die-Ω"], "cut {cut} of {}", tail.len());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

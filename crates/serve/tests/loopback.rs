@@ -425,6 +425,43 @@ fn soft_shutdown_snapshots_live_sessions_and_hard_does_not() {
     }
 }
 
+/// A kill -9 in the middle of a snapshot of a die with a non-ASCII id
+/// leaves a tail torn inside a multi-byte character. The supervisor
+/// still starts on that store, and every intact die resumes.
+#[test]
+fn restart_on_a_tail_torn_inside_a_character_resumes_the_intact_dies() {
+    const DIES: usize = 3;
+    let dir = temp_dir("torn-utf8");
+    let store = dir.join("store.jsonl");
+    let handle = Supervisor::spawn(config(&store)).expect("spawn");
+    let mut client = Client::connect(&handle);
+    for d in 0..DIES {
+        assert_eq!(client.attach(&die_name(d)), (false, 0));
+    }
+    drive(&mut client, 0..DIES, 1..=6);
+    handle.shutdown(true);
+    handle.join().expect("join");
+    // `die-Ω`'s snapshot, cut after the first byte of `Ω` (0xCE 0xA9).
+    let mut bytes = std::fs::read(&store).expect("read store");
+    bytes.extend_from_slice(b"{\"key\":\"die-\xCE");
+    std::fs::write(&store, bytes).expect("tear store");
+
+    let handle = Supervisor::spawn(config(&store)).expect("respawn on the torn store");
+    let mut client = Client::connect(&handle);
+    for d in 0..DIES {
+        let (resumed, acked_seq) = client.attach(&die_name(d));
+        assert!(resumed && acked_seq > 0, "die {d} resumes at {acked_seq}");
+    }
+    assert_eq!(
+        client.attach("die-Ω"),
+        (false, 0),
+        "the torn die starts fresh"
+    );
+    handle.shutdown(true);
+    handle.join().expect("join");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Serve metrics reach both telemetry export formats (JSON keeps dotted
 /// names, Prometheus sanitizes them), and the stats message agrees.
 #[test]

@@ -15,13 +15,15 @@ pub struct Observation<'a> {
     pub time: f64,
     /// Per-core sensor readings (quantised, noisy) in °C.
     pub sensor_temps: &'a [f64],
-    /// Windowed frames-per-second of the running application.
+    /// Windowed frames-per-second of the running application; for a
+    /// concurrent mix, its worst relative performance `min_i P_i / P_c,i`.
     pub fps: f64,
-    /// The running application's performance constraint `P_c` (fps).
+    /// The running application's performance constraint `P_c` (fps); 1.0
+    /// for a concurrent mix.
     pub perf_constraint: f64,
-    /// Name of the running application.
+    /// Name of the running application (a mix's `+`-joined names).
     pub app_name: &'a str,
-    /// Index of the running application within the scenario.
+    /// Index of the running application within the scenario (0 for a mix).
     pub app_index: usize,
     /// True on the first sample after an application switch (explicit
     /// signal from the application layer; see struct docs).

@@ -63,15 +63,15 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The floorplan this config simulates: the explicit override when
-    /// set, otherwise the default shape for the scheduler's core count.
-    /// Shared by [`Simulation::new`] and [`crate::run_concurrent`] so
-    /// both engines simulate the same silicon.
+    /// The floorplan this config simulates, and every [`Simulation`]
+    /// builds its die from: the explicit override when set, otherwise the
+    /// paper's 2×2 quad for four cores and a 1×N strip for any other
+    /// count.
     ///
     /// # Panics
     ///
-    /// Panics if an override's core count disagrees with
-    /// `machine.scheduler.num_cores`.
+    /// Panics if the scheduler has no cores, or if an override's core
+    /// count disagrees with `machine.scheduler.num_cores`.
     pub fn resolved_floorplan(&self) -> Floorplan {
         let num_cores = self.machine.scheduler.num_cores;
         match self.floorplan {
@@ -84,32 +84,22 @@ impl SimConfig {
                 );
                 fp
             }
-            None => floorplan_for(num_cores),
+            None if num_cores == 4 => Floorplan::quad(),
+            None => {
+                assert!(num_cores > 0, "need at least one core");
+                Floorplan::grid(num_cores, 1)
+            }
         }
     }
 }
 
-/// The die floorplan used for `num_cores` cores: the paper's 2×2 quad for
-/// four cores, a 1×N strip otherwise. Shared by [`Simulation::new`] and
-/// [`crate::run_concurrent`] so both engines simulate the same silicon.
-///
-/// # Panics
-///
-/// Panics if `num_cores` is zero.
-pub(crate) fn floorplan_for(num_cores: usize) -> Floorplan {
-    assert!(num_cores > 0, "need at least one core");
-    if num_cores == 4 {
-        Floorplan::quad()
-    } else {
-        Floorplan::grid(num_cores, 1)
-    }
-}
-
 /// A fully assembled simulation, stepped to completion by
-/// [`Simulation::run`].
+/// [`Simulation::run`]: a list of phases, run one after another, on one
+/// thread pool sized for the largest phase.
 pub struct Simulation {
     config: SimConfig,
-    scenario: Scenario,
+    name: String,
+    phases: Vec<Vec<AppModel>>,
     controller: Box<dyn ThermalController>,
     machine: Machine,
     die: DieModel,
@@ -122,20 +112,53 @@ pub struct Simulation {
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("scenario", &self.scenario.name)
+            .field("scenario", &self.name)
             .field("controller", &self.controller.name())
             .finish_non_exhaustive()
     }
 }
 
 impl Simulation {
-    /// Assembles a simulation of `scenario` under `controller`.
+    /// Assembles a simulation of `scenario` under `controller`: one phase
+    /// per application, run back to back.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (zero tick, no cores, …).
     pub fn new(
         scenario: Scenario,
+        controller: Box<dyn ThermalController>,
+        config: &SimConfig,
+        seed: u64,
+    ) -> Self {
+        let phases = scenario.apps.into_iter().map(|app| vec![app]).collect();
+        Self::with_phases(scenario.name, phases, controller, config, seed)
+    }
+
+    /// Assembles a simulation that runs every app of `apps` at once, each
+    /// on its own slice of the thread pool: one phase. The controller sees
+    /// one merged observation: the worst relative performance
+    /// `min_i P_i / P_c,i` of the apps still running (1.0 for an app
+    /// without a constraint), against a constraint of 1.0, under the
+    /// `+`-joined app names, with `app_switched` set when an app completes
+    /// and the mix changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `apps` is empty or the configuration is invalid.
+    pub fn concurrent(
+        apps: Vec<AppModel>,
+        controller: Box<dyn ThermalController>,
+        config: &SimConfig,
+        seed: u64,
+    ) -> Self {
+        assert!(!apps.is_empty(), "need at least one application");
+        Self::with_phases(mix_name(&apps), vec![apps], controller, config, seed)
+    }
+
+    fn with_phases(
+        name: String,
+        phases: Vec<Vec<AppModel>>,
         controller: Box<dyn ThermalController>,
         config: &SimConfig,
         seed: u64,
@@ -152,7 +175,8 @@ impl Simulation {
         }
         let machine = Machine::new(config.machine.clone(), seed);
         Simulation {
-            scenario,
+            name,
+            phases,
             controller,
             machine,
             die,
@@ -169,18 +193,34 @@ impl Simulation {
         &self.trace
     }
 
-    /// Runs the scenario to completion (or the time cap) and returns the
+    /// Runs every phase to completion (or the time cap) and returns the
     /// outcome.
     pub fn run(&mut self) -> RunOutcome {
-        let num_cores = self.machine.num_cores();
-        let num_threads = self.scenario.num_threads();
-        let thread_ids: Vec<_> = (0..num_threads)
-            .map(|_| self.machine.add_thread(AffinityMask::all(num_cores)))
+        let Simulation {
+            config,
+            name: scenario_name,
+            phases,
+            controller,
+            machine,
+            die,
+            metrics_sensors,
+            controller_sensors,
+            trace,
+            seed,
+        } = self;
+        let num_cores = machine.num_cores();
+        let pool = phases
+            .iter()
+            .map(|apps| apps.iter().map(|a| a.num_threads).sum())
+            .max()
+            .unwrap_or(0);
+        let thread_ids: Vec<_> = (0..pool)
+            .map(|_| machine.add_thread(AffinityMask::all(num_cores)))
             .collect();
-        self.controller.on_start(num_threads, num_cores);
+        controller.on_start(pool, num_cores);
 
         let mut profiles =
-            vec![ThermalProfile::from_samples(self.config.metrics_interval, vec![]); num_cores];
+            vec![ThermalProfile::from_samples(config.metrics_interval, vec![]); num_cores];
         let mut app_results: Vec<AppResult> = Vec::new();
         let mut time = 0.0f64;
         let mut sample_timer = 0.0f64;
@@ -188,55 +228,66 @@ impl Simulation {
         let mut samples = 0u64;
         let mut decisions = 0u64;
         let mut completed = true;
-        let sampling_interval = self.controller.sampling_interval().max(self.config.tick);
+        let sampling_interval = controller.sampling_interval().max(config.tick);
         // Bridge cursor: telemetry events recorded on this thread from
         // here on (by the controller, the thermal stepper, …) are
         // mirrored into the trace as labelled events.
         let mut event_cursor = tel::next_event_seq();
         // Per-tick buffers, refilled in place so the tick loop does not
         // allocate (the machine's result is a borrow of its own buffers).
-        let mut needs = Vec::with_capacity(num_threads);
-        let mut demands: Vec<ThreadDemand> = Vec::with_capacity(num_threads);
+        let mut needs = Vec::with_capacity(pool);
+        let mut demands: Vec<ThreadDemand> = Vec::with_capacity(pool);
         let mut temps = vec![0.0; num_cores];
 
-        let apps: Vec<AppModel> = self.scenario.apps.clone();
-        'apps: for (app_idx, app) in apps.iter().enumerate() {
-            for &id in &thread_ids {
-                self.machine.set_memory_intensity(id, app.mem_intensity);
+        for (phase, apps) in phases.iter().enumerate() {
+            let solo = apps.len() == 1;
+            let name = if solo {
+                apps[0].name.clone()
+            } else {
+                mix_name(apps)
+            };
+            let mut ids = thread_ids.iter();
+            let mut execs = Vec::with_capacity(apps.len());
+            for (i, app) in apps.iter().enumerate() {
+                for &id in ids.by_ref().take(app.num_threads) {
+                    machine.set_memory_intensity(id, app.mem_intensity);
+                }
+                let exec_seed = phase as u64 + i as u64 * 7919;
+                let mut exec = AppExecution::new(app.clone(), seed.wrapping_add(exec_seed));
+                // Stamps the phase's start time, and redraws the first
+                // frame from the jitter stream. Mixes skip it: the pinned
+                // outcomes of both kinds of run fix which draws they make.
+                if solo {
+                    exec.restart_at(time);
+                }
+                execs.push(exec);
             }
-            let mut exec = AppExecution::new(app.clone(), self.seed.wrapping_add(app_idx as u64));
-            exec.restart_at(time);
-            let mut pending_switch = app_idx > 0;
-            if self.config.record_trace {
-                self.trace.event(time, format!("app-switch:{}", app.name));
+            let mut pending_switch = phase > 0;
+            if config.record_trace {
+                trace.event(time, format!("app-switch:{name}"));
             }
 
-            while !exec.is_complete() {
-                if time >= self.config.max_sim_time {
+            while execs.iter().any(|e| !e.is_complete()) {
+                if time >= config.max_sim_time {
                     completed = false;
-                    app_results.push(AppResult {
-                        name: app.name.clone(),
-                        dataset: app.dataset.clone(),
-                        start_time: exec.start_time(),
-                        finish_time: None,
-                        frames_completed: exec.frames_completed(),
-                        total_frames: app.total_frames,
-                    });
-                    break 'apps;
+                    break;
                 }
-                exec.thread_needs_into(&mut needs);
                 demands.clear();
-                demands.extend(needs.iter().map(|n| ThreadDemand {
-                    runnable: n.runnable,
-                    activity: n.activity,
-                }));
-                for (c, t) in temps.iter_mut().enumerate() {
-                    *t = self.die.core_temperature(c);
+                for exec in &execs {
+                    exec.thread_needs_into(&mut needs);
+                    demands.extend(needs.iter().map(|n| ThreadDemand {
+                        runnable: n.runnable,
+                        activity: n.activity,
+                    }));
                 }
-                let mt = self.machine.tick(self.config.tick, &demands, &temps);
+                // Pool threads that this phase's apps do not use stay blocked.
+                demands.resize(pool, ThreadDemand::blocked());
+                for (c, t) in temps.iter_mut().enumerate() {
+                    *t = die.core_temperature(c);
+                }
+                let mt = machine.tick(config.tick, &demands, &temps);
                 for c in 0..num_cores {
-                    self.die
-                        .set_core_power(c, mt.core_dynamic_w[c] + mt.core_static_w[c]);
+                    die.set_core_power(c, mt.core_dynamic_w[c] + mt.core_static_w[c]);
                 }
                 {
                     // The span lives here rather than inside
@@ -244,54 +295,57 @@ impl Simulation {
                     // `[E | F]` product per tick (bench:
                     // `die_tick_churn_ns`), stays uninstrumented.
                     let _g = tel::span!("thermal.step");
-                    self.die.advance(self.config.tick);
+                    die.advance(config.tick);
                 }
-                time += self.config.tick;
-                exec.advance(&mt.exec_giga_cycles, time);
+                time += config.tick;
+                let mut first = 0;
+                for exec in &mut execs {
+                    let n = exec.model().num_threads;
+                    if !exec.is_complete() {
+                        exec.advance(&mt.exec_giga_cycles[first..first + n], time);
+                        // A finished app changes a mix; it ends a lone app's phase.
+                        pending_switch |= !solo && exec.is_complete();
+                    }
+                    first += n;
+                }
 
-                metrics_timer += self.config.tick;
-                if metrics_timer + 1e-12 >= self.config.metrics_interval {
-                    metrics_timer -= self.config.metrics_interval;
-                    if let Some(profile) = &self.config.ambient {
+                metrics_timer += config.tick;
+                if metrics_timer + 1e-12 >= config.metrics_interval {
+                    metrics_timer -= config.metrics_interval;
+                    if let Some(profile) = &config.ambient {
                         if !profile.is_constant() {
-                            self.die.set_ambient(profile.at(time));
+                            die.set_ambient(profile.at(time));
                         }
                     }
-                    let readings = self.metrics_sensors.read_all(&self.die.core_temperatures());
+                    let readings = metrics_sensors.read_all(&die.core_temperatures());
                     for (p, &r) in profiles.iter_mut().zip(&readings) {
                         p.push(r);
                     }
-                    if self.config.record_trace {
+                    if config.record_trace {
                         let freqs: Vec<f64> =
-                            (0..num_cores).map(|c| self.machine.frequency(c)).collect();
-                        self.trace.push(
-                            time,
-                            &readings,
-                            &freqs,
-                            exec.windowed_fps(time, self.config.fps_window),
-                        );
+                            (0..num_cores).map(|c| machine.frequency(c)).collect();
+                        let (fps, _) = performance(&execs, time, config.fps_window);
+                        trace.push(time, &readings, &freqs, fps);
                     }
                 }
 
-                sample_timer += self.config.tick;
+                sample_timer += config.tick;
                 if sample_timer + 1e-12 >= sampling_interval {
                     sample_timer -= sampling_interval;
                     samples += 1;
-                    self.machine.charge_sample_overhead();
-                    let readings = self
-                        .controller_sensors
-                        .read_all(&self.die.core_temperatures());
-                    let freqs: Vec<f64> =
-                        (0..num_cores).map(|c| self.machine.frequency(c)).collect();
+                    machine.charge_sample_overhead();
+                    let readings = controller_sensors.read_all(&die.core_temperatures());
+                    let freqs: Vec<f64> = (0..num_cores).map(|c| machine.frequency(c)).collect();
+                    let (fps, perf_constraint) = performance(&execs, time, config.fps_window);
                     let obs = Observation {
                         time,
                         sensor_temps: &readings,
-                        fps: exec.windowed_fps(time, self.config.fps_window),
-                        perf_constraint: app.perf_constraint_fps,
-                        app_name: &app.name,
-                        app_index: app_idx,
+                        fps,
+                        perf_constraint,
+                        app_name: &name,
+                        app_index: phase,
                         app_switched: std::mem::take(&mut pending_switch),
-                        counters: self.machine.counters(),
+                        counters: machine.counters(),
                         core_freq_ghz: &freqs,
                     };
                     tel::counter!("engine.samples");
@@ -301,25 +355,25 @@ impl Simulation {
                     );
                     let act = {
                         let _g = tel::span!("engine.decide");
-                        self.controller.on_sample(&obs)
+                        controller.on_sample(&obs)
                     };
                     if let Some(act) = act {
                         decisions += 1;
                         tel::counter!("engine.actuations");
-                        self.machine.charge_decision_overhead();
+                        machine.charge_decision_overhead();
                         if let Some(assignment) = &act.assignment {
-                            self.machine.apply_assignment(assignment);
+                            machine.apply_assignment(assignment);
                         }
                         if let Some(gov) = act.governor {
-                            self.machine.set_governor_all(gov);
+                            machine.set_governor_all(gov);
                         }
                         if let Some(per_core) = &act.per_core_governors {
                             for (core, &g) in per_core.iter().enumerate().take(num_cores) {
-                                self.machine.set_governor(core, g);
+                                machine.set_governor(core, g);
                             }
                         }
-                        if self.config.record_trace {
-                            self.trace.event(time, "decision");
+                        if config.record_trace {
+                            trace.event(time, "decision");
                         }
                     }
                     // Events → trace bridge: mode switches, Q-table
@@ -328,48 +382,74 @@ impl Simulation {
                     // become trace labels (e.g. `"detect:inter"`), so the
                     // Fig. 4/5 profile plots can mark them on the
                     // timeline.
-                    if self.config.record_trace {
+                    if config.record_trace {
                         for ev in tel::thread_events_since(event_cursor) {
                             event_cursor = ev.seq + 1;
-                            self.trace.event(time, ev.label());
+                            trace.event(time, ev.label());
                         }
                     }
                 }
             }
 
-            if exec.is_complete() {
-                app_results.push(AppResult {
-                    name: app.name.clone(),
-                    dataset: app.dataset.clone(),
-                    start_time: exec.start_time(),
-                    finish_time: exec.finish_time(),
-                    frames_completed: exec.frames_completed(),
-                    total_frames: app.total_frames,
-                });
+            app_results.extend(apps.iter().zip(&execs).map(|(app, exec)| AppResult {
+                name: app.name.clone(),
+                dataset: app.dataset.clone(),
+                start_time: exec.start_time(),
+                finish_time: exec.finish_time(),
+                frames_completed: exec.frames_completed(),
+                total_frames: app.total_frames,
+            }));
+            if !completed {
+                break;
             }
         }
 
         RunOutcome {
-            scenario_name: self.scenario.name.clone(),
-            controller_name: self.controller.name().to_string(),
+            scenario_name: scenario_name.clone(),
+            controller_name: controller.name().to_string(),
             sensor_profiles: profiles,
             app_results,
             total_time: time,
             completed,
-            dynamic_energy_j: self.machine.energy().dynamic_energy(),
-            static_energy_j: self.machine.energy().static_energy(),
-            avg_dynamic_power_w: self.machine.energy().average_dynamic_power(),
-            avg_static_power_w: self.machine.energy().average_static_power(),
-            counters: self.machine.counters(),
-            migrations: self.machine.scheduler().total_migrations(),
+            dynamic_energy_j: machine.energy().dynamic_energy(),
+            static_energy_j: machine.energy().static_energy(),
+            avg_dynamic_power_w: machine.energy().average_dynamic_power(),
+            avg_static_power_w: machine.energy().average_static_power(),
+            counters: machine.counters(),
+            migrations: machine.scheduler().total_migrations(),
             samples,
             decisions,
         }
     }
 }
 
+/// The name a mix runs under: its apps' names, underscores dropped,
+/// joined with `+`.
+fn mix_name(apps: &[AppModel]) -> String {
+    let names: Vec<_> = apps.iter().map(|a| a.name.replace('_', "")).collect();
+    names.join("+")
+}
+
+/// The fps and constraint a phase reports: a lone app's own, or a mix's
+/// worst relative performance against 1.0 (see [`Simulation::concurrent`]).
+fn performance(execs: &[AppExecution], time: f64, window: f64) -> (f64, f64) {
+    let fps = |e: &AppExecution| e.windowed_fps(time, window);
+    if let [exec] = execs {
+        return (fps(exec), exec.model().perf_constraint_fps);
+    }
+    let worst = execs
+        .iter()
+        .filter(|e| !e.is_complete())
+        .map(|e| match e.model().perf_constraint_fps {
+            pc if pc > 0.0 => fps(e) / pc,
+            _ => 1.0,
+        })
+        .fold(f64::INFINITY, f64::min);
+    (if worst.is_finite() { worst } else { 1.0 }, 1.0)
+}
+
 /// Runs a whole scenario under a controller. Convenience wrapper around
-/// [`Simulation`].
+/// [`Simulation::new`].
 pub fn run_scenario(
     scenario: &Scenario,
     controller: Box<dyn ThermalController>,
@@ -387,6 +467,17 @@ pub fn run_app(
     seed: u64,
 ) -> RunOutcome {
     run_scenario(&Scenario::single(app.clone()), controller, config, seed)
+}
+
+/// Runs `apps` at once under a controller. Convenience wrapper around
+/// [`Simulation::concurrent`].
+pub fn run_concurrent(
+    apps: &[AppModel],
+    controller: Box<dyn ThermalController>,
+    config: &SimConfig,
+    seed: u64,
+) -> RunOutcome {
+    Simulation::concurrent(apps.to_vec(), controller, config, seed).run()
 }
 
 #[cfg(test)]
@@ -761,5 +852,190 @@ mod tests {
             "tachyon peak {}",
             out.peak_temperature()
         );
+    }
+
+    /// A short app for the concurrent-mix tests.
+    fn small(name: &str, threads: usize, frames: usize) -> AppModel {
+        AppModel::builder(name)
+            .threads(threads)
+            .frames(frames)
+            .parallel_gcycles(0.4)
+            .serial_gcycles(0.1)
+            .perf_constraint_fps(0.1)
+            .build()
+            .expect("valid model")
+    }
+
+    #[test]
+    fn two_apps_complete_concurrently() {
+        let apps = [small("a", 3, 30), small("b", 3, 30)];
+        let out = run_concurrent(
+            &apps,
+            Box::new(NullController::default()),
+            &quick_config(600.0),
+            1,
+        );
+        assert!(out.completed);
+        assert_eq!(out.app_results.len(), 2);
+        for r in &out.app_results {
+            assert!(r.finish_time.is_some());
+            assert_eq!(r.frames_completed, 30);
+        }
+        assert_eq!(out.scenario_name, "a+b");
+    }
+
+    #[test]
+    fn concurrent_is_slower_than_alone() {
+        let alone = run_app(
+            &small("a", 3, 60),
+            Box::new(NullController::default()),
+            &quick_config(600.0),
+            1,
+        );
+        let shared = run_concurrent(
+            &[small("a", 3, 60), small("b", 3, 60)],
+            Box::new(NullController::default()),
+            &quick_config(1200.0),
+            1,
+        );
+        let t_alone = alone.app_results[0].execution_time().expect("finished");
+        let t_shared = shared.app_results[0].execution_time().expect("finished");
+        assert!(
+            t_shared > t_alone * 1.2,
+            "sharing the machine must slow app a: {t_alone} vs {t_shared}"
+        );
+    }
+
+    #[test]
+    fn mix_change_signal_fires_when_an_app_finishes() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
+
+        struct MixSpy {
+            flags: Arc<AtomicU32>,
+        }
+        impl ThermalController for MixSpy {
+            fn name(&self) -> &str {
+                "mix-spy"
+            }
+            fn on_sample(&mut self, obs: &Observation<'_>) -> Option<crate::Actuation> {
+                if obs.app_switched {
+                    self.flags.fetch_add(1, Ordering::Relaxed);
+                }
+                None
+            }
+        }
+        let flags = Arc::new(AtomicU32::new(0));
+        // App b is much longer than app a.
+        let apps = [small("a", 3, 10), small("b", 3, 200)];
+        let out = run_concurrent(
+            &apps,
+            Box::new(MixSpy {
+                flags: flags.clone(),
+            }),
+            &quick_config(1200.0),
+            1,
+        );
+        assert!(out.completed);
+        assert!(
+            flags.load(Ordering::Relaxed) >= 1,
+            "mix change must be signalled"
+        );
+    }
+
+    #[test]
+    fn observation_reports_worst_relative_performance() {
+        // With perf_constraint 0 on one app, rel perf falls back sanely.
+        let mut a = small("a", 2, 20);
+        a.perf_constraint_fps = 0.0;
+        let out = run_concurrent(
+            &[a, small("b", 2, 20)],
+            Box::new(NullController::default()),
+            &quick_config(600.0),
+            2,
+        );
+        assert!(out.completed);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one core")]
+    fn zero_core_config_rejected() {
+        let mut cfg = SimConfig::default();
+        cfg.machine.scheduler.num_cores = 0;
+        let _ = run_concurrent(
+            &[small("a", 2, 10)],
+            Box::new(NullController::default()),
+            &cfg,
+            1,
+        );
+    }
+
+    #[test]
+    fn non_quad_core_count_uses_strip_floorplan() {
+        // 6 cores: a mix runs on the same 6×1 strip as a sequential run
+        // (and therefore records 6 sensor profiles).
+        let mut cfg = quick_config(600.0);
+        cfg.machine.scheduler.num_cores = 6;
+        let out = run_concurrent(
+            &[small("a", 3, 20), small("b", 3, 20)],
+            Box::new(NullController::default()),
+            &cfg,
+            1,
+        );
+        assert!(out.completed);
+        assert_eq!(out.sensor_profiles.len(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one application")]
+    fn empty_app_list_rejected() {
+        let _ = run_concurrent(
+            &[],
+            Box::new(NullController::default()),
+            &SimConfig::default(),
+            1,
+        );
+    }
+
+    #[test]
+    fn ambient_drift_raises_a_mix_temperature() {
+        use crate::ambient::AmbientProfile;
+        let apps = [slow_app(), slow_app()];
+        let steady = run_concurrent(
+            &apps,
+            Box::new(NullController::default()),
+            &quick_config(600.0),
+            1,
+        );
+        let mut hot_room = quick_config(600.0);
+        hot_room.ambient = Some(AmbientProfile::Drift {
+            start_c: 25.0,
+            rate_c_per_hour: 600.0,
+            limit_c: 45.0,
+        });
+        let drifted = run_concurrent(&apps, Box::new(NullController::default()), &hot_room, 1);
+        assert!(
+            drifted.avg_temperature() > steady.avg_temperature() + 2.0,
+            "drift {} vs steady {}",
+            drifted.avg_temperature(),
+            steady.avg_temperature()
+        );
+    }
+
+    #[test]
+    fn concurrent_trace_recording_can_be_enabled() {
+        let mut config = quick_config(600.0);
+        config.record_trace = true;
+        let mut sim = Simulation::concurrent(
+            vec![small("a", 3, 30), small("b", 3, 30)],
+            Box::new(NullController::default()),
+            &config,
+            1,
+        );
+        let out = sim.run();
+        assert!(out.completed);
+        assert!(!sim.trace().is_empty());
+        assert_eq!(sim.trace().len(), out.sensor_profiles[0].len());
+        assert_eq!(sim.trace().events[0].label, "app-switch:a+b");
     }
 }

@@ -10,6 +10,12 @@
 //! sampling sensors at its own interval and issuing affinity + governor
 //! actions at decision epochs.
 //!
+//! One loop, [`Simulation::run`], drives every run. It runs a list of
+//! *phases*, each a set of applications that run at once on slices of
+//! one thread pool: [`run_scenario`] runs one application per phase, and
+//! [`run_concurrent`] runs a mix as a single phase (the paper's §7
+//! future work).
+//!
 //! # Example
 //!
 //! ```
@@ -27,7 +33,6 @@
 #![deny(missing_docs)]
 
 pub mod ambient;
-pub mod concurrent;
 pub mod controller;
 pub mod engine;
 pub mod json;
@@ -35,8 +40,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use ambient::AmbientProfile;
-pub use concurrent::run_concurrent;
 pub use controller::{Actuation, NullController, Observation, ThermalController};
-pub use engine::{run_app, run_scenario, SimConfig, Simulation};
+pub use engine::{run_app, run_concurrent, run_scenario, SimConfig, Simulation};
 pub use metrics::{AppResult, RunOutcome};
 pub use trace::TraceRecorder;

@@ -67,18 +67,10 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// Per-core reliability reports using a custom analyzer.
-    pub fn reliability_reports_with(
-        &self,
-        analyzer: &ReliabilityAnalyzer,
-    ) -> Vec<ReliabilityReport> {
-        analyzer.analyze_cores(&self.sensor_profiles)
-    }
-
     /// Per-core reliability reports with the default (paper-calibrated)
     /// analyzer.
     pub fn reliability_reports(&self) -> Vec<ReliabilityReport> {
-        self.reliability_reports_with(&ReliabilityAnalyzer::default())
+        ReliabilityAnalyzer::default().analyze_cores(&self.sensor_profiles)
     }
 
     /// System-level reliability summary (worst core limits lifetime) with

@@ -4,8 +4,9 @@
 //! warm-up tick has sized the reusable buffers, `Machine::tick` (with
 //! balancing, jitter and forced migrations) and
 //! `AppExecution::thread_needs_into` must not allocate at all, and a whole
-//! `run_app` — set-up, sampling and frame bookkeeping included — must
-//! average well under one allocation per simulated tick.
+//! `run_app` or two-app `run_concurrent` — set-up, sampling and frame
+//! bookkeeping included — must average well under one allocation per
+//! simulated tick.
 //!
 //! This lives in its own integration-test binary with a single `#[test]`
 //! so no concurrently running test can pollute the allocation counter,
@@ -18,7 +19,7 @@ use std::cell::Cell;
 use thermorl_platform::{
     big_little_quad, AffinityMask, Machine, MachineConfig, ThreadAssignment, ThreadDemand,
 };
-use thermorl_sim::{run_app, NullController, SimConfig};
+use thermorl_sim::{run_app, run_concurrent, NullController, RunOutcome, SimConfig};
 use thermorl_workload::{alpbench, AppExecution, AppModel, DataSet, SyncModel};
 
 struct CountingAlloc;
@@ -164,18 +165,29 @@ fn simulation_tick_does_not_allocate() {
     thread_needs_into_allocates_nothing(queue);
 
     // The whole engine: what is left is set-up, the 1 s metrics tap, the
-    // controller's sampling and one buffer per new frame.
+    // controller's sampling and one buffer per new frame. A concurrent
+    // mix runs through the same loop, so it keeps the same budget.
     let config = SimConfig {
         max_sim_time: 200.0,
         ..SimConfig::default()
     };
     let app = alpbench::tachyon(DataSet::One);
     let (n, out) = allocs_during(|| run_app(&app, Box::new(NullController::default()), &config, 1));
+    engine_stays_under_budget("run_app", n, &out, &config);
+    let mix = [app, alpbench::mpeg_dec(DataSet::One)];
+    let (n, out) =
+        allocs_during(|| run_concurrent(&mix, Box::new(NullController::default()), &config, 1));
+    engine_stays_under_budget("run_concurrent", n, &out, &config);
+}
+
+/// A whole run of at least 10,000 ticks averages under 0.1 allocations
+/// per tick.
+fn engine_stays_under_budget(name: &str, allocs: u64, out: &RunOutcome, config: &SimConfig) {
     let ticks = (out.total_time / config.tick).round();
-    assert!(ticks >= 10_000.0, "run too short: {ticks} ticks");
-    let per_tick = n as f64 / ticks;
+    assert!(ticks >= 10_000.0, "{name}: run too short: {ticks} ticks");
+    let per_tick = allocs as f64 / ticks;
     assert!(
         per_tick < 0.1,
-        "run_app made {n} allocations over {ticks} ticks ({per_tick:.3} per tick)"
+        "{name} made {allocs} allocations over {ticks} ticks ({per_tick:.3} per tick)"
     );
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use thermorl::prelude::*;
-use thermorl::sim::run_concurrent;
+use thermorl::sim::{run_concurrent, NullController, ThermalController};
 
 fn main() {
     // Shrink the workloads so the demo finishes quickly.
@@ -17,34 +17,21 @@ fn main() {
     let mut tach = alpbench::tachyon(DataSet::Two);
     tach.total_frames = 60;
     let apps = [dec, tach];
-
+    let threads: usize = apps.iter().map(|a| a.num_threads).sum();
     println!(
-        "running {} and {} concurrently ({} threads total)\n",
-        apps[0].name,
-        apps[1].name,
-        apps.iter().map(|a| a.num_threads).sum::<usize>()
+        "running {} and {} concurrently ({threads} threads total)\n",
+        apps[0].name, apps[1].name
     );
 
-    for (label, outcome) in [
-        (
-            "linux-ondemand",
-            run_concurrent(
-                &apps,
-                Box::new(thermorl::sim::NullController::default()),
-                &SimConfig::default(),
-                42,
-            ),
-        ),
+    let policies: [(&str, Box<dyn ThermalController>); 2] = [
+        ("linux-ondemand", Box::new(NullController::default())),
         (
             "proposed-dac14",
-            run_concurrent(
-                &apps,
-                Box::new(DasDac14Controller::new(ControlConfig::default(), 42)),
-                &SimConfig::default(),
-                42,
-            ),
+            Box::new(DasDac14Controller::new(ControlConfig::default(), 42)),
         ),
-    ] {
+    ];
+    for (label, controller) in policies {
+        let outcome = run_concurrent(&apps, controller, &SimConfig::default(), 42);
         let r = outcome.reliability_summary();
         println!("policy: {label}");
         for app in &outcome.app_results {
