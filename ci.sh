@@ -219,6 +219,17 @@ EOF
 timeout 60 cargo run --release -q -p thermorl-bench --bin serve -- \
     shutdown --addr-file "$SERVE_DIR/addr2"
 wait "$SERVE_PID"
+# The restart compacted the store to one snapshot line per die before
+# any new snapshot was appended: no torn or duplicate line survives it.
+python3 - "$SERVE_DIR/snapshots.jsonl" <<'EOF'
+import json, sys
+with open(sys.argv[1], encoding="utf-8") as f:
+    lines = [json.loads(line) for line in f]
+assert all(line["status"] == "snapshot" for line in lines), "a non-snapshot line"
+dies = [line["key"] for line in lines[:8]]
+assert len(set(dies)) == 8, f"compaction wrote {dies}, not the 8 dies once each"
+print(f"snapshot store OK: {len(lines)} lines, compacted head {sorted(dies)}")
+EOF
 
 echo "== trace selftest (client -> serve -> shard -> thermal chain + Chrome schema) =="
 # In-process supervisor + loopback load with tracing on: exits nonzero

@@ -46,8 +46,10 @@ struct Setup {
 
 /// The scenario matrix this invocation runs: the full five-way stress
 /// matrix, or — under `--quick` — its first two scenarios plus the
-/// `grid_4x4` large-floorplan cell (with shortened sims), so CI smoke
-/// always covers the adaptive/matrix-free path end-to-end.
+/// `grid_4x4` cell (with shortened sims), so CI smoke always runs the
+/// `Auto` stepper's node-count rule end-to-end. At 18 nodes that rule
+/// picks the exact step with a dense LU, not the adaptive/matrix-free
+/// path (DESIGN §15).
 fn matrix(setup: &Setup) -> Vec<TournamentScenario> {
     let mut m = scenario_matrix(SEED, setup.quick);
     if setup.quick {

@@ -305,7 +305,7 @@ impl State {
     /// lands: results are deterministic per key, making every copy
     /// equivalent.
     fn ingest_result(&mut self, lease_id: u64, line: &str, now: Instant) -> io::Result<()> {
-        let meta = crate::store::line_meta(line).ok_or_else(|| {
+        let meta = crate::store::line_meta(line).map_err(|_| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unparsable result line: {line:?}"),

@@ -4,21 +4,18 @@
 //! The store is **codec-free** — it never decodes payloads, it files the
 //! verbatim checkpoint lines workers produce (the same lines a local
 //! `CheckpointWriter` would have written), keyed by the `"key"` field.
-//! Append-and-flush per line keeps it crash-safe: a killed coordinator
-//! loses at most the in-flight line, and reopening skips a torn tail the
-//! same way `checkpoint::load` does. Completed keys are deduplicated on
-//! ingest (a late result for an already-completed job is dropped), so the
-//! final file sorted by key is byte-identical to a serial run's
-//! checkpoint; failed records are last-wins — a later success overrides
-//! an earlier failure on load, exactly like `checkpoint::merge`.
+//! It is a [`thermorl_runner::jsonl`] store: appended and flushed per
+//! line, so a killed coordinator loses at most the in-flight line, and
+//! resumed by one last-wins fold, so a key is complete when its last
+//! record is `ok`. Completed keys are deduplicated on ingest (a late
+//! result for an already-completed job is dropped), so the final file
+//! sorted by key is byte-identical to a serial run's checkpoint.
 
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use thermorl_json::Value;
-use thermorl_runner::checkpoint::utf8_lines;
+use thermorl_json::{JsonError, Value};
+use thermorl_runner::jsonl::{self, Appender};
 
 /// How [`CheckpointStore::ingest`] filed a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,79 +38,60 @@ pub struct LineMeta {
 }
 
 /// Parses the key and status out of a checkpoint line without touching
-/// the payload. Returns `None` for lines that are not valid records
+/// the payload.
+///
+/// # Errors
+///
+/// Fails on a line that is not a record with a string key and status
 /// (torn tails, garbage).
-pub fn line_meta(line: &str) -> Option<LineMeta> {
-    let v = Value::parse(line).ok()?;
-    let key = v.get("key")?.as_str()?.to_string();
-    let status = v.get("status")?.as_str()?;
-    Some(LineMeta {
-        key,
-        ok: status == "ok",
+pub fn line_meta(line: &str) -> Result<LineMeta, JsonError> {
+    let v = Value::parse(line)?;
+    Ok(LineMeta {
+        key: v.field("key")?,
+        ok: v.field::<&str>("status")? == "ok",
     })
 }
 
 /// The append-only shared checkpoint store.
 pub struct CheckpointStore {
     path: PathBuf,
-    out: BufWriter<File>,
+    out: Appender,
     completed: HashSet<String>,
 }
 
 impl CheckpointStore {
-    /// Opens the store at `path`. With `resume`, existing records are
-    /// kept and their completed keys pre-marked (corrupt lines, a tail
-    /// torn inside a multi-byte character included, skipped with a
-    /// warning); without it any existing file is truncated. A torn
-    /// trailing line is terminated so the next append starts fresh.
+    /// Opens the store at `path`, creating it and its parent directories
+    /// as needed. With `resume`, existing records are kept, read once,
+    /// and the keys whose last record is `ok` pre-marked complete
+    /// (corrupt lines skipped with a warning); a torn trailing line is
+    /// terminated so the next append starts fresh. Without it, any
+    /// existing store is replaced by an empty one.
     ///
     /// # Errors
     ///
     /// Fails if the file (or a parent directory) cannot be created or
     /// read.
     pub fn open(path: &Path, resume: bool) -> std::io::Result<CheckpointStore> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut completed = HashSet::new();
-        if resume && path.exists() {
-            let reader = BufReader::new(File::open(path)?);
-            for (lineno, line) in utf8_lines(reader).enumerate() {
-                let line = line?;
-                if line.as_deref().is_some_and(|l| l.trim().is_empty()) {
-                    continue;
-                }
-                match line.as_deref().and_then(line_meta) {
-                    Some(meta) if meta.ok => {
-                        completed.insert(meta.key);
-                    }
-                    Some(_) => {} // failed record: the job stays runnable
-                    None => eprintln!(
-                        "[dispatch] warning: skipping corrupt store line {} of {}",
-                        lineno + 1,
-                        path.display()
-                    ),
-                }
-            }
-        }
-        let needs_newline = resume
-            && match std::fs::read(path) {
-                Ok(bytes) => !bytes.is_empty() && bytes.last() != Some(&b'\n'),
-                Err(_) => false,
-            };
-        let mut file = if resume {
-            OpenOptions::new().create(true).append(true).open(path)?
+        let (out, completed) = if resume {
+            let out = Appender::open(path)?;
+            let records = jsonl::fold(&[path], |line| {
+                let meta = line_meta(&line)?;
+                Ok((meta.key, meta.ok))
+            })?;
+            let completed = records
+                .into_iter()
+                .filter_map(|(key, ok)| ok.then_some(key))
+                .collect();
+            (out, completed)
         } else {
-            File::create(path)?
+            (
+                Appender::rewrite(path, std::iter::empty::<&str>())?,
+                HashSet::new(),
+            )
         };
-        if needs_newline {
-            file.write_all(b"\n")?;
-        }
         Ok(CheckpointStore {
             path: path.to_path_buf(),
-            out: BufWriter::new(file),
+            out,
             completed,
         })
     }
@@ -142,7 +120,7 @@ impl CheckpointStore {
     ///
     /// Fails on an unparsable line or when the append cannot be flushed.
     pub fn ingest(&mut self, line: &str) -> std::io::Result<Ingest> {
-        let meta = line_meta(line).ok_or_else(|| {
+        let meta = line_meta(line).map_err(|_| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("unparsable checkpoint line: {line:?}"),
@@ -162,8 +140,7 @@ impl CheckpointStore {
         if self.completed.contains(&meta.key) {
             return Ok(Ingest::Duplicate);
         }
-        writeln!(self.out, "{line}")?;
-        self.out.flush()?;
+        self.out.append(line)?;
         if meta.ok {
             self.completed.insert(meta.key);
             Ok(Ingest::Completed)

@@ -1,4 +1,5 @@
-//! Incremental JSONL checkpointing.
+//! Campaign checkpoints: the job-record codec over the one JSONL store
+//! format of [`crate::jsonl`].
 //!
 //! Every completed job appends one line to the checkpoint file:
 //!
@@ -13,18 +14,17 @@
 //! many workers produced it. When telemetry is live, a record additionally
 //! carries the deterministic part of its per-job metrics delta — the
 //! counters, as a `"metrics"` object — but never span timings, which vary
-//! run to run. Loading is last-wins per key, and a corrupt trailing line
-//! (a partial write from an interrupted campaign) is skipped with a
-//! warning rather than aborting the resume.
+//! run to run. Loading and merging are [`jsonl::fold`]s: last wins per
+//! key, and a corrupt line (a partial write from an interrupted campaign)
+//! is skipped with a warning rather than aborting the resume.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use thermorl_json::{JsonError, Value};
 use thermorl_telemetry::Snapshot;
 
 use crate::job::{JobOutcome, JobRecord};
+use crate::jsonl::{self, Appender};
 
 /// Encodes/decodes the job payload `T` to/from [`Value`].
 ///
@@ -131,112 +131,39 @@ pub fn parse_line<T>(line: &str, codec: &Codec<T>) -> Result<JobRecord<T>, JsonE
 /// An append-only checkpoint writer. Each record is flushed as soon as it
 /// is written, so an interrupted campaign loses at most the in-flight line.
 pub struct CheckpointWriter<T> {
-    path: PathBuf,
-    out: BufWriter<File>,
+    out: Appender,
     codec: Codec<T>,
 }
 
 impl<T> CheckpointWriter<T> {
-    /// Opens `path` for appending (creating it and parent directories as
-    /// needed). If an interrupted campaign left a torn final line with no
-    /// trailing newline, one is added first so the next record starts on
-    /// its own line instead of corrupting the torn one's neighbours. Only
-    /// the file's last byte is read, however long the checkpoint is.
+    /// Opens `path` for appending through [`Appender::open`]: created with
+    /// its parent directories as needed, and a torn final line ended
+    /// first, so the next record starts on its own line.
     pub fn append(path: &Path, codec: Codec<T>) -> std::io::Result<Self> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(path)?;
-        let len = file.metadata()?.len();
-        if len > 0 {
-            let mut last = [0u8];
-            file.seek(SeekFrom::Start(len - 1))?;
-            file.read_exact(&mut last)?;
-            // Appends go to the end whatever the read position.
-            if last[0] != b'\n' {
-                file.write_all(b"\n")?;
-            }
-        }
         Ok(CheckpointWriter {
-            path: path.to_path_buf(),
-            out: BufWriter::new(file),
+            out: Appender::open(path)?,
             codec,
         })
     }
 
-    /// The checkpoint path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends and flushes one record.
     pub fn write(&mut self, record: &JobRecord<T>) -> std::io::Result<()> {
-        let line = record_line(record, &self.codec);
-        writeln!(self.out, "{line}")?;
-        self.out.flush()
+        self.out.append(&record_line(record, &self.codec))
     }
-}
-
-/// The lines of `reader` without their line ends; `None` for a line that
-/// is not UTF-8 (a write torn inside a multi-byte character), which the
-/// caller skips like any other corrupt line. `BufRead::lines` would end
-/// the whole read with an error instead. Every JSONL store reads through
-/// it: campaign checkpoints, the dispatch store and serve's snapshots.
-pub fn utf8_lines(reader: impl BufRead) -> impl Iterator<Item = std::io::Result<Option<String>>> {
-    reader.split(b'\n').map(|line| {
-        let mut bytes = line?;
-        if bytes.last() == Some(&b'\r') {
-            bytes.pop();
-        }
-        Ok(String::from_utf8(bytes).ok())
-    })
 }
 
 /// Loads a checkpoint: resumed records in first-seen key order, last
-/// occurrence of each key winning. Returns an empty list if the file does
-/// not exist. Corrupt lines (e.g. a torn final write, even one cut inside
-/// a multi-byte character) are skipped with a warning on stderr.
+/// occurrence of each key winning ([`jsonl::fold`]). Returns an empty list
+/// if the file does not exist. Corrupt lines are skipped with a warning.
 pub fn load<T>(path: &Path, codec: &Codec<T>) -> std::io::Result<Vec<JobRecord<T>>> {
     if !path.exists() {
         return Ok(Vec::new());
     }
-    let reader = BufReader::new(File::open(path)?);
-    let mut order: Vec<String> = Vec::new();
-    let mut by_key: std::collections::HashMap<String, JobRecord<T>> =
-        std::collections::HashMap::new();
-    for (lineno, line) in utf8_lines(reader).enumerate() {
-        let parsed = match line? {
-            Some(line) if line.trim().is_empty() => continue,
-            Some(line) => parse_line(&line, codec),
-            None => Err(JsonError::new("line is not UTF-8")),
-        };
-        match parsed {
-            Ok(record) => {
-                if !by_key.contains_key(&record.key) {
-                    order.push(record.key.clone());
-                }
-                by_key.insert(record.key.clone(), record);
-            }
-            Err(e) => {
-                eprintln!(
-                    "[runner] warning: skipping corrupt checkpoint line {} of {}: {}",
-                    lineno + 1,
-                    path.display(),
-                    e
-                );
-            }
-        }
-    }
-    Ok(order
-        .into_iter()
-        .map(|k| by_key.remove(&k).expect("ordered key present"))
-        .collect())
+    let records = jsonl::fold(&[path], |line| {
+        let record = parse_line(&line, codec)?;
+        Ok((record.key.clone(), record))
+    })?;
+    Ok(records.into_iter().map(|(_, record)| record).collect())
 }
 
 /// Merges several JSONL checkpoints into `out`, last-wins per key: inputs
@@ -246,52 +173,19 @@ pub fn load<T>(path: &Path, codec: &Codec<T>) -> std::io::Result<Vec<JobRecord<T
 /// payload decoding — the merge is codec-free and works on checkpoints of
 /// any payload type). Corrupt or keyless lines are skipped with a warning.
 ///
-/// All inputs are read fully before `out` is written, so `out` may safely
-/// be one of the inputs. Returns the number of distinct keys written.
+/// `out` is replaced through [`Appender::rewrite`] after every input is
+/// read, so it may be one of the inputs, and a failed merge leaves it as
+/// it was. Returns the number of distinct keys written.
 ///
 /// # Errors
 ///
 /// Fails if an input cannot be read or the output cannot be written.
 pub fn merge(inputs: &[PathBuf], out: &Path) -> std::io::Result<usize> {
-    let mut order: Vec<String> = Vec::new();
-    let mut by_key: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    for path in inputs {
-        let reader = BufReader::new(File::open(path)?);
-        for (lineno, line) in utf8_lines(reader).enumerate() {
-            let line = line?;
-            if line.as_deref().is_some_and(|l| l.trim().is_empty()) {
-                continue;
-            }
-            let keyed = line.and_then(|line| {
-                let key = Value::parse(&line).ok()?.field::<String>("key").ok()?;
-                Some((key, line))
-            });
-            match keyed {
-                Some((key, line)) => {
-                    if !by_key.contains_key(&key) {
-                        order.push(key.clone());
-                    }
-                    by_key.insert(key, line);
-                }
-                None => eprintln!(
-                    "[runner] warning: skipping corrupt line {} of {} during merge",
-                    lineno + 1,
-                    path.display()
-                ),
-            }
-        }
-    }
-    if let Some(parent) = out.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut writer = BufWriter::new(File::create(out)?);
-    for key in &order {
-        writeln!(writer, "{}", by_key[key])?;
-    }
-    writer.flush()?;
-    Ok(order.len())
+    let lines = jsonl::fold(inputs, |line| {
+        Ok((Value::parse(&line)?.field::<String>("key")?, line))
+    })?;
+    Appender::rewrite(out, lines.iter().map(|(_, line)| line))?;
+    Ok(lines.len())
 }
 
 #[cfg(test)]
@@ -418,7 +312,10 @@ mod tests {
         // Simulate a torn write from an interrupted campaign.
         {
             use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(&path).expect("open");
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .expect("open");
             write!(f, "{{\"key\":\"c\",\"se").expect("write partial");
         }
         let loaded = load(&path, &codec).expect("load");
@@ -591,6 +488,28 @@ mod tests {
         assert_eq!(n, 2);
         let loaded = load(&main, &u64_codec()).expect("load");
         assert_eq!(loaded.len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An in-place merge writes a sibling temp file and renames it over
+    /// `OUT`. When the temp file cannot be written (a directory holds its
+    /// name), the merge fails and leaves `OUT` byte for byte as it was.
+    #[test]
+    fn a_merge_that_cannot_write_leaves_its_output_as_it_was() {
+        let dir = temp_dir("merge-blocked");
+        let main = dir.join("main.jsonl");
+        let extra = dir.join("extra.jsonl");
+        let before =
+            "{\"key\":\"a\",\"seed\":1,\"status\":\"ok\",\"payload\":1}\n{\"key\":\"b\",\"se";
+        std::fs::write(&main, before).expect("write");
+        std::fs::write(
+            &extra,
+            "{\"key\":\"b\",\"seed\":2,\"status\":\"ok\",\"payload\":2}\n",
+        )
+        .expect("write");
+        std::fs::create_dir_all(dir.join("main.jsonl.tmp")).expect("block the temp name");
+        assert!(merge(&[main.clone(), extra], &main).is_err());
+        assert_eq!(std::fs::read_to_string(&main).expect("read"), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 

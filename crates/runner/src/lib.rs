@@ -13,6 +13,9 @@
 //! * [`checkpoint`] — incremental JSONL checkpointing of completed jobs;
 //!   [`RunnerConfig::resume`] skips keys that already have records, so an
 //!   interrupted campaign finishes without re-running completed work.
+//! * [`jsonl`] — the one last-wins JSONL store format behind campaign
+//!   checkpoints, the dispatch store and serve's snapshots: the fold, the
+//!   torn-tail appender and the temp-file-and-rename rewrite.
 //! * [`progress`] — throttled stderr progress (done/failed/ETA) and a
 //!   per-job duration histogram exported with the results.
 //! * sharding — [`RunnerConfig::shard`] (CLI: `--shard I/N`) hashes job
@@ -34,6 +37,7 @@
 pub mod campaign;
 pub mod checkpoint;
 pub mod job;
+pub mod jsonl;
 pub mod pool;
 pub mod progress;
 pub mod seed;

@@ -31,9 +31,9 @@ use thermorl_thermal::{DieModel, DieParams, Floorplan, SensorBank, SensorParams}
 
 use crate::proto::Decision;
 
-/// The `"status"` tag of a snapshot line in the checkpoint store. Never
-/// `"ok"`, so [`thermorl_dispatch::store::CheckpointStore`] appends every
-/// snapshot without deduplication and loading resolves last-wins per key.
+/// The `"status"` tag of a snapshot line in the supervisor's store. The
+/// supervisor appends every snapshot, and a restart keeps the last line
+/// with this status per die.
 pub const SNAPSHOT_STATUS: &str = "snapshot";
 
 /// Most cores one session manages: the platform's affinity masks are 64

@@ -11,19 +11,19 @@
 //!
 //! # Crash safety
 //!
-//! A session is snapshotted into the shared [`CheckpointStore`] every
-//! [`ServeConfig::snapshot_every`] decision epochs, on `detach`, and on
-//! orderly shutdown (a `shutdown` with `hard: true` skips the final
-//! pass, simulating a crash). Snapshot lines are tagged
-//! [`SNAPSHOT_STATUS`], which the store treats as non-final — it appends
-//! every one, and on startup the supervisor resolves last-wins per die,
-//! then compacts the store down to one line per die.
+//! A session's snapshot line is appended to the store, a
+//! [`thermorl_runner::jsonl`] file, every [`ServeConfig::snapshot_every`]
+//! decision epochs, on `detach`, and on orderly shutdown (a `shutdown`
+//! with `hard: true` skips the final pass, simulating a crash). On
+//! startup the supervisor folds the store once into the newest
+//! [`SNAPSHOT_STATUS`] line per die, in first-seen die order, and
+//! compacts it to exactly those lines with one temp-file-and-rename
+//! rewrite, so a crash during startup leaves the old store whole.
 
 use std::collections::HashMap;
-use std::fs::File;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -31,11 +31,9 @@ use std::time::Duration;
 
 use thermorl_control::ControlConfig;
 use thermorl_dispatch::proto::{read_message, write_message};
-use thermorl_dispatch::store::LineMeta;
-use thermorl_dispatch::CheckpointStore;
-use thermorl_json::Value;
+use thermorl_json::{JsonError, Value};
 use thermorl_policy::PolicyId;
-use thermorl_runner::checkpoint::utf8_lines;
+use thermorl_runner::jsonl::{self, Appender};
 use thermorl_runner::{job_seed, shard_of};
 use thermorl_telemetry as tel;
 
@@ -47,8 +45,8 @@ use crate::session::{Session, SessionMode, MAX_CORES, SNAPSHOT_STATUS};
 pub struct ServeConfig {
     /// Bind address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// When set, the bound address is written here (for scripts that
-    /// need the ephemeral port).
+    /// When set, the bound address is written here once the store is
+    /// restored (for scripts that need the ephemeral port).
     pub addr_file: Option<PathBuf>,
     /// Path of the snapshot store (JSONL).
     pub store: PathBuf,
@@ -145,7 +143,7 @@ struct Shard {
 /// Everything a connection thread needs.
 struct Shared {
     shards: Vec<Mutex<Shard>>,
-    store: Mutex<CheckpointStore>,
+    store: Mutex<Appender>,
     stats: Stats,
     stop: Arc<AtomicBool>,
     hard: Arc<AtomicBool>,
@@ -199,26 +197,24 @@ impl Supervisor {
     /// # Errors
     ///
     /// Fails when the address cannot be bound or the store cannot be
-    /// opened.
+    /// read or rewritten.
     pub fn spawn(config: ServeConfig) -> io::Result<SupervisorHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        if let Some(path) = &config.addr_file {
-            std::fs::write(path, format!("{addr}\n"))?;
-        }
 
-        // Restore-and-compact: collect the newest snapshot per die from
-        // the previous run, then rewrite the store with exactly those
-        // lines so it never grows across restarts.
-        let restored = if config.resume {
+        // Restore-and-compact: fold the newest snapshot per die from the
+        // previous run, then replace the store with exactly those lines
+        // so it never grows across restarts.
+        let restored = if config.resume && config.store.exists() {
             load_snapshots(&config.store)?
         } else {
-            HashMap::new()
+            Vec::new()
         };
-        let mut store = CheckpointStore::open(&config.store, false)?;
-        for (die, line) in &restored {
-            store.ingest_with(snapshot_meta(die), &line.to_json())?;
+        let store = Appender::rewrite(&config.store, restored.iter().map(|(_, (_, line))| line))?;
+        // Only a supervisor that will serve announces its address.
+        if let Some(path) = &config.addr_file {
+            std::fs::write(path, format!("{addr}\n"))?;
         }
         if !config.quiet {
             eprintln!(
@@ -232,7 +228,7 @@ impl Supervisor {
         // claims it.
         let stripes = config.shards.max(1);
         let mut shards: Vec<Shard> = (0..stripes).map(|_| Shard::default()).collect();
-        for (die, snap) in restored {
+        for (die, (snap, _)) in restored {
             shards[shard_of(&die, stripes)].pending.insert(die, snap);
         }
 
@@ -275,27 +271,17 @@ fn slo_config(config: &ServeConfig) -> tel::SloConfig {
     }
 }
 
-/// Scans the store for [`SNAPSHOT_STATUS`] lines, newest per die wins.
-fn load_snapshots(path: &std::path::Path) -> io::Result<HashMap<String, Value>> {
-    let mut latest = HashMap::new();
-    if !path.exists() {
-        return Ok(latest);
-    }
-    let reader = BufReader::new(File::open(path)?);
-    for line in utf8_lines(reader) {
-        // A crashed run's torn tail, even one cut inside a multi-byte
-        // character, is skipped.
-        let Some(Ok(v)) = line?.as_deref().map(Value::parse) else {
-            continue;
-        };
-        let (Ok(key), Ok(status)) = (v.field::<&str>("key"), v.field::<&str>("status")) else {
-            continue;
-        };
-        if status == SNAPSHOT_STATUS {
-            latest.insert(key.to_string(), v);
+/// The newest [`SNAPSHOT_STATUS`] line of each die in the store, in
+/// first-seen die order, parsed and as written. Any other line, a
+/// crashed run's torn tail included, is skipped.
+fn load_snapshots(path: &Path) -> io::Result<Vec<(String, (Value, String))>> {
+    jsonl::fold(&[path], |line| {
+        let v = Value::parse(&line)?;
+        if v.field::<&str>("status")? != SNAPSHOT_STATUS {
+            return Err(JsonError::new("not a snapshot line"));
         }
-    }
-    Ok(latest)
+        Ok((v.field("key")?, (v, line)))
+    })
 }
 
 fn accept_loop(
@@ -580,19 +566,10 @@ fn handle_shard_message(msg: Message, shard: &mut Shard, shared: &Shared) -> Mes
     }
 }
 
-/// How the store files a session's snapshot line: keyed by die, and never
-/// `"ok"` (the status is [`SNAPSHOT_STATUS`]), so every one is appended.
-fn snapshot_meta(die: &str) -> LineMeta {
-    LineMeta {
-        key: die.to_string(),
-        ok: false,
-    }
-}
-
 fn write_snapshot(session: &Session, shared: &Shared) {
     let line = session.snapshot_line();
     let mut store = shared.store.lock().expect("store lock poisoned");
-    if let Err(e) = store.ingest_with(snapshot_meta(session.die()), &line) {
+    if let Err(e) = store.append(&line) {
         eprintln!(
             "[serve] warning: snapshot of {:?} failed: {e}",
             session.die()
@@ -629,7 +606,7 @@ mod tests {
             bytes.extend_from_slice(&tail.as_bytes()[..cut]);
             std::fs::write(&path, &bytes).expect("write store");
             let loaded = load_snapshots(&path).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-            let mut dies: Vec<&str> = loaded.keys().map(String::as_str).collect();
+            let mut dies: Vec<&str> = loaded.iter().map(|(die, _)| die.as_str()).collect();
             dies.sort_unstable();
             assert_eq!(dies, ["die-a", "die-Ω"], "cut {cut} of {}", tail.len());
         }

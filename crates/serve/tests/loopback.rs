@@ -12,6 +12,7 @@ use std::sync::Barrier;
 use std::thread;
 
 use thermorl_dispatch::proto::{read_message, write_message};
+use thermorl_json::Value;
 use thermorl_runner::shard_of;
 use thermorl_serve::bench::power_values;
 use thermorl_serve::{
@@ -457,6 +458,115 @@ fn restart_on_a_tail_torn_inside_a_character_resumes_the_intact_dies() {
         (false, 0),
         "the torn die starts fresh"
     );
+    handle.shutdown(true);
+    handle.join().expect("join");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A restart compacts the store to exactly one line per die: that die's
+/// newest snapshot line, byte for byte, in the order the dies first
+/// appear in the store. A torn tail is dropped, and restarting again
+/// rewrites the same bytes.
+#[test]
+fn restart_compacts_to_each_die_newest_snapshot_in_first_seen_order() {
+    // Attach and drive order; the store lists dies in this order.
+    const ORDER: [usize; 6] = [3, 0, 5, 1, 4, 2];
+    let dir = temp_dir("compact");
+    let store = dir.join("store.jsonl");
+    let handle = Supervisor::spawn(config(&store)).expect("spawn");
+    let mut client = Client::connect(&handle);
+    for d in ORDER {
+        assert_eq!(client.attach(&die_name(d)), (false, 0));
+    }
+    for seq in 1..=9 {
+        for d in ORDER {
+            client.observe(d, seq);
+        }
+    }
+    handle.shutdown(true);
+    handle.join().expect("join");
+
+    let dies = |text: &str| -> Vec<String> {
+        text.lines()
+            .map(|line| {
+                Value::parse(line)
+                    .and_then(|v| v.field("key"))
+                    .expect("an intact snapshot line")
+            })
+            .collect()
+    };
+    let journal = std::fs::read_to_string(&store).expect("read store");
+    let mut newest: Vec<(String, &str)> = Vec::new();
+    for (die, line) in dies(&journal).into_iter().zip(journal.lines()) {
+        match newest.iter_mut().find(|(d, _)| *d == die) {
+            Some(entry) => entry.1 = line,
+            None => newest.push((die, line)),
+        }
+    }
+    let order: Vec<String> = ORDER.iter().map(|&d| die_name(d)).collect();
+    assert_eq!(
+        newest.iter().map(|(d, _)| d.clone()).collect::<Vec<_>>(),
+        order
+    );
+    assert!(journal.lines().count() > ORDER.len(), "periodic snapshots");
+    let expected: String = newest.iter().map(|(_, line)| format!("{line}\n")).collect();
+
+    let mut torn = journal.clone().into_bytes();
+    torn.extend_from_slice(b"{\"key\":\"die-0\",\"status\":\"snap");
+    std::fs::write(&store, torn).expect("tear store");
+    // Both restarts must leave exactly `expected`, so they leave
+    // identical files.
+    for restart in 1..=2 {
+        let handle = Supervisor::spawn(config(&store)).expect("restart");
+        handle.shutdown(true);
+        handle.join().expect("join");
+        let text = std::fs::read_to_string(&store).expect("read store");
+        assert_eq!(dies(&text), order, "die order after restart {restart}");
+        assert!(
+            text == expected,
+            "restart {restart}: not each die's newest line"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Compaction replaces the store through a sibling temp file. When that
+/// file cannot be written (a directory holds its name), the restart fails
+/// without writing its address file, and the store is left byte for byte
+/// as it was; once the name is free again, every die resumes.
+#[test]
+fn a_restart_that_cannot_compact_fails_and_leaves_the_store_whole() {
+    const DIES: usize = 2;
+    let dir = temp_dir("compact-blocked");
+    let store = dir.join("store.jsonl");
+    let handle = Supervisor::spawn(config(&store)).expect("spawn");
+    let mut client = Client::connect(&handle);
+    for d in 0..DIES {
+        assert_eq!(client.attach(&die_name(d)), (false, 0));
+    }
+    drive(&mut client, 0..DIES, 1..=6);
+    handle.shutdown(true);
+    handle.join().expect("join");
+
+    let before = std::fs::read(&store).expect("read store");
+    let blocker = dir.join("store.jsonl.tmp");
+    std::fs::create_dir_all(&blocker).expect("block the temp name");
+    let addr_file = dir.join("addr");
+    let blocked = ServeConfig {
+        addr_file: Some(addr_file.clone()),
+        ..config(&store)
+    };
+    assert!(Supervisor::spawn(blocked).is_err());
+    assert_eq!(std::fs::read(&store).expect("read store"), before);
+    assert!(!addr_file.exists(), "a failed start announces no address");
+
+    std::fs::remove_dir(&blocker).expect("unblock");
+    let handle = Supervisor::spawn(config(&store)).expect("restart");
+    let mut client = Client::connect(&handle);
+    for d in 0..DIES {
+        let (resumed, acked_seq) = client.attach(&die_name(d));
+        assert!(resumed && acked_seq > 0, "die {d} resumes at {acked_seq}");
+    }
     handle.shutdown(true);
     handle.join().expect("join");
     std::fs::remove_dir_all(&dir).ok();
